@@ -21,6 +21,7 @@ from .errors import InternalConsistencyError
 from .graphs import Graph, adjacency, adjacency_rows, check_subset, cone, covering_radius
 from .matrices import (
     ExactMatrix,
+    adjugate_samples,
     bilinear_numerator_fractions,
     char_poly,
     int_rank,
@@ -113,14 +114,8 @@ def graph_char_poly(g: Graph) -> IntPoly:
 @lru_cache(maxsize=None)
 def vertex_deleted_char_polys(g: Graph) -> tuple[IntPoly, ...]:
     """phi(X minus u, t) for every u, read off the adjugate diagonal."""
-    from .matrices import adjugate_samples
-    from .polys import interpolate_int_poly
-
-    points, adjs = adjugate_samples(adjacency(g))
-    out = []
-    for u in range(g.v):
-        out.append(interpolate_int_poly(list(points), [adj[u][u] for adj in adjs]))
-    return tuple(out)
+    _, bs = adjugate_samples(adjacency(g))
+    return tuple(IntPoly(bk[u][u] for bk in bs) for u in range(g.v))
 
 
 def numerator_coeffs(p: PairSpec) -> tuple:
@@ -191,7 +186,6 @@ def algebra_basis_check(p: PairSpec, bound: int = ALGEBRA_CHECK_BOUND) -> bool:
     for ci in cols:
         for cj in cols:
             flats.append([Fraction(a) * Fraction(b) for a in ci for b in cj])
-    den = 1
     rows = []
     for f in flats:
         d = 1

@@ -2,8 +2,9 @@
 
 Entries are Python ints or Fractions (ints are kept as ints so the common
 all-integer case stays on the fast path).  Rank and determinants use
-fraction-free Bareiss elimination; characteristic polynomials go through
-integer evaluation at dimension+1 points followed by exact interpolation.
+fraction-free Bareiss elimination.  The characteristic polynomial and the
+adjugate of tI - A come together from one integer Faddeev-LeVerrier pass,
+as phi(t) and the coefficient matrices B_k of adj(tI - A) = sum B_k t^k.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
-from .polys import IntPoly, interpolate_fractions, interpolate_int_poly
+from .errors import InternalConsistencyError
+from .polys import IntPoly
 
 
 class ExactMatrix:
@@ -278,82 +280,76 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(n, n, flat)
 
 
-def _int_rows_strict(m: ExactMatrix) -> list[list[int]]:
+ADJUGATE_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=ADJUGATE_CACHE_SIZE)
+def _faddeev_leverrier(rows: tuple) -> tuple:
+    """(phi, (B_0, ..., B_{n-1})) with adj(tI - A) = sum_k B_k t^k.
+
+    M_1 = I; for j = 1..n: c_{n-j} = -tr(A M_j)/j, B_{n-j} = M_j and
+    M_{j+1} = A M_j + c_{n-j} I.  Each division by j is exact over the
+    integers and M_{n+1} = 0 (Cayley-Hamilton); both are checked.  The
+    cache is bounded so that memory stays flat on long graph6 streams.
+    """
+    n = len(rows)
+    nonzero = [[(k, x) for k, x in enumerate(r) if x] for r in rows]
+    coeffs = [0] * n + [1]
+    bs = [None] * n
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for j in range(1, n + 1):
+        am = []
+        for nz in nonzero:
+            acc = [0] * n
+            for k, x in nz:
+                acc = [s + x * e for s, e in zip(acc, m[k])]
+            am.append(acc)
+        c, rem = divmod(-sum(am[i][i] for i in range(n)), j)
+        if rem:
+            raise InternalConsistencyError(
+                f"Faddeev-LeVerrier trace not divisible by {j}"
+            )
+        coeffs[n - j] = c
+        bs[n - j] = tuple(tuple(r) for r in m)
+        for i in range(n):
+            am[i][i] += c
+        m = am
+    if any(any(r) for r in m):
+        raise InternalConsistencyError("Cayley-Hamilton check failed: phi(A) != 0")
+    return IntPoly(coeffs), tuple(bs)
+
+
+def adjugate_samples(m: ExactMatrix) -> tuple:
+    """(phi, (B_0, ..., B_{n-1})) for a square integer matrix m, where
+    phi = det(tI - m) and adj(tI - m) = sum_k B_k t^k, each B_k a tuple of
+    integer rows.
+
+    One integer Faddeev-LeVerrier pass.  The name is kept because the
+    benchmark's tracer (perfbench/spans.py) looks it up by name.
+    """
+    if not m.is_square:
+        raise ValueError("adjugate of a non-square matrix")
     if not m.is_integer():
         raise ValueError("integer matrix required")
-    return [[int(Fraction(e)) for e in m.row(i)] for i in range(m.rows)]
+    rows = tuple(tuple(int(e) for e in m.row(i)) for i in range(m.rows))
+    return _faddeev_leverrier(rows)
 
 
 def char_poly(m: ExactMatrix) -> IntPoly:
-    """det(tI - m) for a square integer matrix, exact and monic.
-
-    Evaluates det(cI - m) at dimension+1 integer points and interpolates;
-    this keeps everything in integer arithmetic.
-    """
-    if not m.is_square:
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    rows = _int_rows_strict(m)
-    n = m.rows
-    points = list(range(n + 1))
-    values = []
-    for c in points:
-        shifted = [
-            [c - x if i == j else -x for j, x in enumerate(rows[i])] for i in range(n)
-        ]
-        values.append(int_det(shifted))
-    p = interpolate_int_poly(points, values)
-    assert p.degree == n and p.leading() == 1
-    return p
-
-
-def gershgorin_bound(rows: list[list[int]]) -> int:
-    """Integer bound B with every eigenvalue in [-B, B]."""
-    return max((sum(abs(x) for x in r) for r in rows), default=0)
-
-
-@lru_cache(maxsize=None)
-def _adjugate_points_cached(rows_key: tuple) -> tuple:
-    rows = [list(r) for r in rows_key]
-    n = len(rows)
-    base = gershgorin_bound(rows) + 1
-    points = tuple(range(base, base + n))
-    adjs = []
-    for c in points:
-        shifted = ExactMatrix.from_rows(
-            [[c - x if i == j else -x for j, x in enumerate(rows[i])] for i in range(n)]
-        )
-        d = int_det(shifted.row_lists())
-        inv = inverse(shifted)
-        adj = [[int(e * d) for e in inv.row(i)] for i in range(n)]
-        adjs.append(tuple(tuple(r) for r in adj))
-    return points, tuple(adjs)
-
-
-def adjugate_samples(m: ExactMatrix):
-    """(points, adjugates): adj(cI - m) at dim-many safe integer points c.
-
-    The points all exceed the Gershgorin bound, so cI - m is invertible at
-    each of them.  Cached: the census hits the same matrices repeatedly.
-    """
-    rows = _int_rows_strict(m)
-    return _adjugate_points_cached(tuple(tuple(r) for r in rows))
+    """det(tI - m) for a square integer matrix, exact and monic."""
+    return adjugate_samples(m)[0]
 
 
 def bilinear_numerator_fractions(m: ExactMatrix, y: Sequence, z: Sequence) -> tuple:
-    """Coefficients (Fractions, low first) of y^T adj(tI - m) z.
-
-    Degree is at most dim-1, so dim sample points determine it.
-    """
+    """Coefficients (low first, dim many) of y^T adj(tI - m) z: ints for
+    integer vectors, Fractions otherwise."""
     n = m.rows
     if len(y) != n or len(z) != n:
         raise ValueError("shape mismatch")
-    points, adjs = adjugate_samples(m)
-    values = []
-    for adj in adjs:
-        values.append(
-            sum(y[i] * adj[i][j] * z[j] for i in range(n) for j in range(n))
-        )
-    return interpolate_fractions(points, values)
+    ys = [(i, a) for i, a in enumerate(y) if a]
+    zs = [(j, b) for j, b in enumerate(z) if b]
+    _, bs = adjugate_samples(m)
+    return tuple(sum(a * bk[i][j] * b for i, a in ys for j, b in zs) for bk in bs)
 
 
 def bilinear_numerator_poly(m: ExactMatrix, y: Sequence, z: Sequence) -> IntPoly:

@@ -256,6 +256,8 @@ def interpolate_fractions(points: Sequence[int], values: Sequence) -> tuple:
     n = len(points)
     if len(set(points)) != n:
         raise ValueError("interpolation points must be distinct")
+    if n == 0:
+        return ()
     # Newton's divided differences, then expand to the monomial basis.
     dd = [Fraction(v) for v in values]
     for level in range(1, n):
@@ -273,13 +275,6 @@ def interpolate_fractions(points: Sequence[int], values: Sequence) -> tuple:
         deg += 1
         coeffs[0] += dd[i]
     return tuple(coeffs)
-
-
-def interpolate_int_poly(points: Sequence[int], values: Sequence[int]) -> IntPoly:
-    coeffs = interpolate_fractions(points, values)
-    if any(c.denominator != 1 for c in coeffs):
-        raise ValueError("interpolated polynomial is not integral")
-    return IntPoly(int(c) for c in coeffs)
 
 
 class RationalFunction:

@@ -20,6 +20,21 @@ def cofactor_det(rows):
     return total
 
 
+def cofactor_adjugate(rows):
+    """adj(M)[i][j] = (-1)^(i+j) det(M with row j and column i removed)."""
+    n = len(rows)
+    return [
+        [
+            (-1) ** (i + j)
+            * cofactor_det(
+                [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+            )
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
 def naive_rank(rows):
     """Gaussian elimination over Fractions with first-nonzero pivoting."""
     m = [[Fraction(x) for x in r] for r in rows]

@@ -292,6 +292,26 @@ def test_criterion_14_lti():
     report(14, "linear system identities", True)
 
 
+# Per-n census summary (graphs, controllable with S = V, with a controllable
+# vertex, irreducible characteristic polynomial), recorded from the
+# inverse-and-interpolate adjugate route before the Faddeev-LeVerrier pass
+# replaced it.
+CENSUS_SUMMARY = {
+    n: dict(zip(("graphs", "controllable", "with_controllable_vertex",
+                 "irreducible_charpoly"), counts))
+    for n, counts in {
+        1: (1, 1, 1, 1),
+        2: (2, 0, 1, 0),
+        3: (4, 0, 1, 0),
+        4: (11, 0, 2, 0),
+        5: (34, 0, 9, 0),
+        6: (156, 8, 37, 7),
+        7: (1044, 92, 414, 54),
+        8: (12346, 2332, 5984, 1943),
+    }.items()
+}
+
+
 def test_criterion_15_census():
     t0 = time.monotonic()
     lines = [line for n in range(1, 9) for line in census_lines(n)]
@@ -307,6 +327,9 @@ def test_criterion_15_census():
     assert counts[5] > 0
     fractions = [counts[n - 1] / EXPECTED_COUNTS[n] for n in (6, 7, 8)]
     assert fractions[0] < fractions[1] < fractions[2]
+    # the paper's counts of graphs controllable with S = V
+    assert counts[5:] == [8, 92, 2332]
+    assert summary.per_n == CENSUS_SUMMARY
     ok = elapsed < 1800
     print(f"census over {len(lines)} graphs took {elapsed:.1f}s on 4 workers")
     report(15, "census counts and runtime", ok)

@@ -37,6 +37,16 @@ def test_analyze_p5_end_vertex(tmp_path):
     assert rep["verdicts"]["rank"] is True and rep["verdicts"]["poles"] is True
 
 
+def test_analyze_empty_graph(tmp_path):
+    code, text = run(["analyze", "?", "--subset", "full"], tmp_path)
+    assert code == cli.EXIT_OK
+    doc = json.loads(text)
+    assert doc["n"] == 0
+    [rep] = doc["reports"]
+    assert rep["rank_of_w"] == 0
+    assert rep["verdicts"]["rank"] == rep["verdicts"]["poles"]
+
+
 def test_analyze_report_schema(tmp_path):
     schema = json.loads((DOCS / "analyze_report.schema.json").read_text())
     for extra in ([], ["--subset", "all"], ["--subset", "vertices"]):
@@ -70,6 +80,22 @@ def test_census_csv_and_json_agree(tmp_path):
     code, jtext = run(["census", "--input", str(g6file)], tmp_path)
     assert code == cli.EXIT_OK
     assert json.loads(jtext)["summary"] == summary
+
+
+def test_census_empty_graph_line(tmp_path):
+    g6file = tmp_path / "in.g6"
+    g6file.write_text("?\n")
+    code, text = run(
+        ["census", "--input", str(g6file), "--format", "csv",
+         "--summary-out", str(tmp_path / "sum.json")],
+        tmp_path, "out.csv",
+    )
+    assert code == cli.EXIT_OK
+    header, row = text.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["n"] == "0"
+    summary = json.loads((tmp_path / "sum.json").read_text())
+    assert summary["error_lines"] == 0
+    assert summary["per_n"]["0"]["graphs"] == 1
 
 
 def test_census_lenient_exit(tmp_path):

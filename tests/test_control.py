@@ -23,10 +23,19 @@ from ctrlgraph.control import (
     walk_matrix_rank,
 )
 from ctrlgraph.errors import InternalConsistencyError
-from ctrlgraph.graphs import Graph, complete, cycle, empty, path, path_extension
-from ctrlgraph.polys import IntPoly
+from ctrlgraph.graphs import (
+    Graph,
+    adjacency_rows,
+    complete,
+    cycle,
+    empty,
+    path,
+    path_extension,
+)
+from ctrlgraph.matrices import ExactMatrix, int_det, inverse
+from ctrlgraph.polys import IntPoly, interpolate_fractions
 
-from conftest import all_subsets, census_graphs
+from conftest import all_graphs_upto, all_subsets, census_graphs
 
 K1 = Graph.from_edges(1, ())
 
@@ -67,6 +76,38 @@ def test_numerator_is_vertex_deleted_poly_for_singletons():
         deleted = vertex_deleted_char_polys(g)
         for u in range(g.v):
             assert numerator_poly(PairSpec.from_subset(g, [u])) == deleted[u]
+
+
+def test_vertex_deleted_polys_are_charpolys_of_deleted_graphs():
+    for g in all_graphs_upto(6):
+        deleted = vertex_deleted_char_polys(g)
+        for u in range(g.v):
+            assert deleted[u] == graph_char_poly(g.delete_vertex(u))
+
+
+def _phi_s_by_sampled_inverse(g, z):
+    """z^T adj(tI - A) z from adj(cI - A) = det(cI - A) (cI - A)^{-1} at v
+    points above the Gershgorin bound, then interpolated."""
+    rows = adjacency_rows(g)
+    base = max(sum(r) for r in rows) + 1
+    points = list(range(base, base + g.v))
+    values = []
+    for c in points:
+        shifted = [[c * (i == j) - x for j, x in enumerate(r)] for i, r in enumerate(rows)]
+        inv = inverse(ExactMatrix.from_rows(shifted))
+        d = int_det(shifted)
+        values.append(
+            sum(z[i] * d * inv.at(i, j) * z[j] for i in range(g.v) for j in range(g.v))
+        )
+    return interpolate_fractions(points, values)
+
+
+def test_numerator_matches_sampled_inverse_route():
+    sample = census_graphs(6)[::7] + census_graphs(7)[::97] + census_graphs(8)[::1201]
+    for g in sample:
+        for s in (range(g.v), [0], [0, g.v - 1]):
+            p = PairSpec.from_subset(g, s)
+            assert numerator_coeffs(p) == _phi_s_by_sampled_inverse(g, p.vector)
 
 
 def test_poles_characterization_examples():

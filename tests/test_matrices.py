@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ctrlgraph.matrices import (
     ExactMatrix,
+    adjugate_samples,
     bilinear_numerator_poly,
     char_poly,
     inverse,
@@ -17,7 +18,7 @@ from ctrlgraph.matrices import (
 )
 from ctrlgraph.polys import IntPoly
 
-from oracles import cofactor_det, charpoly_at, naive_rank
+from oracles import charpoly_at, cofactor_adjugate, cofactor_det, naive_rank
 
 
 def int_matrix(n, lo=-5, hi=5):
@@ -70,6 +71,26 @@ def test_char_poly_matches_cofactor_oracle(rows, c):
     sym = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
     p = char_poly(ExactMatrix.from_rows(sym))
     assert p.evaluate(c) == charpoly_at(sym, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: int_matrix(n, -4, 4)))
+def test_adjugate_pass_matches_cofactor_oracle(rows):
+    # non-symmetric on purpose: the pass must not rely on A = A^T
+    n = len(rows)
+    phi, bs = adjugate_samples(ExactMatrix.from_rows(rows))
+    assert phi.degree == n and phi.leading() == 1
+    assert len(bs) == n
+    for c in (-3, -1, 0, 2, 5):
+        assert phi.evaluate(c) == charpoly_at(rows, c)
+        shifted = [
+            [c * (i == j) - rows[i][j] for j in range(n)] for i in range(n)
+        ]
+        summed = [
+            [sum(bk[i][j] * c**k for k, bk in enumerate(bs)) for j in range(n)]
+            for i in range(n)
+        ]
+        assert summed == cofactor_adjugate(shifted)
 
 
 def test_char_poly_block_diagonal_multiplies():

@@ -10,7 +10,6 @@ from ctrlgraph.polys import (
     distinct_pole_count,
     distinct_root_count,
     interpolate_fractions,
-    interpolate_int_poly,
     poly_from_roots,
     poly_gcd,
     poly_squarefree,
@@ -136,7 +135,10 @@ def test_pole_count_invariant_under_normalize(a, b):
 def test_interpolation_round_trip():
     f = IntPoly([3, -1, 0, 2])
     pts = [0, 1, 2, 3, 7]
-    assert interpolate_int_poly(pts, [f.evaluate(c) for c in pts]) == f
+    got = interpolate_fractions(pts, [f.evaluate(c) for c in pts])
+    assert got == (3, -1, 0, 2, 0)
+    assert all(c.denominator == 1 for c in got)
+    assert interpolate_fractions([], []) == ()
 
 
 @settings(max_examples=60)
