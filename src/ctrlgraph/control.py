@@ -10,7 +10,6 @@ is a theorem, so disagreement means a bug here, never odd input.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -20,11 +19,14 @@ from . import irreducible
 from .errors import InternalConsistencyError
 from .graphs import Graph, adjacency, adjacency_rows, check_subset, cone, covering_radius
 from .matrices import (
+    ADJUGATE_CACHE_SIZE,
     ExactMatrix,
     adjugate_samples,
     bilinear_numerator_fractions,
     char_poly,
+    clear_denominators,
     int_rank,
+    krylov_columns,
 )
 from .polys import IntPoly, RationalFunction, poly_gcd, poly_squarefree
 
@@ -77,41 +79,30 @@ class ControllabilityReport:
 
 def walk_columns(p: PairSpec) -> list[list]:
     """Columns z, Az, ..., A^{v-1}z."""
-    rows = adjacency_rows(p.graph)
-    v = p.graph.v
-    cols = [list(p.vector)]
-    for _ in range(v - 1):
-        prev = cols[-1]
-        cols.append([sum(rows[i][j] * prev[j] for j in range(v) if rows[i][j]) for i in range(v)])
-    return cols
+    return krylov_columns(adjacency_rows(p.graph), p.vector, p.graph.v)
 
 
 def walk_matrix(p: PairSpec) -> ExactMatrix:
-    cols = walk_columns(p)
-    v = p.graph.v
-    return ExactMatrix(v, v, [cols[r][i] for i in range(v) for r in range(v)])
+    return ExactMatrix.from_rows(walk_columns(p)).transpose()
 
 
 def walk_matrix_rank(p: PairSpec) -> int:
-    cols = walk_columns(p)
-    if p.is_integer_vector:
-        return int_rank([[int(x) for x in col] for col in cols], p.graph.v)
-    from .matrices import mat_rank
-
-    return mat_rank(walk_matrix(p))
+    """Rank of W; scaling a column to integers does not change it."""
+    cols = [clear_denominators(col)[0] for col in walk_columns(p)]
+    return int_rank(cols, p.graph.v)
 
 
 def is_controllable_rank(p: PairSpec) -> bool:
     return walk_matrix_rank(p) == p.graph.v
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ADJUGATE_CACHE_SIZE)
 def graph_char_poly(g: Graph) -> IntPoly:
     """phi(X, t) = det(tI - A)."""
     return char_poly(adjacency(g))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ADJUGATE_CACHE_SIZE)
 def vertex_deleted_char_polys(g: Graph) -> tuple[IntPoly, ...]:
     """phi(X minus u, t) for every u, read off the adjugate diagonal."""
     _, bs = adjugate_samples(adjacency(g))
@@ -134,13 +125,8 @@ def numerator_poly(p: PairSpec) -> IntPoly:
 
 def pair_rational_function(p: PairSpec) -> RationalFunction:
     """z^T (tI-A)^{-1} z as an exact ratio of integer polynomials."""
-    coeffs = numerator_coeffs(p)
-    den = 1
-    for c in coeffs:
-        den = den * Fraction(c).denominator // math.gcd(den, Fraction(c).denominator)
-    num = IntPoly(int(c * den) for c in coeffs)
-    phi = graph_char_poly(p.graph) * den
-    return RationalFunction(num, phi)
+    num, den = clear_denominators(numerator_coeffs(p))
+    return RationalFunction(IntPoly(num), graph_char_poly(p.graph) * den)
 
 
 def is_controllable_poles(p: PairSpec) -> bool:
@@ -148,15 +134,10 @@ def is_controllable_poles(p: PairSpec) -> bool:
     phi = graph_char_poly(p.graph)
     if not poly_squarefree(phi):
         return False
-    num = numerator_coeffs(p)
-    if all(c == 0 for c in num):
+    num = pair_rational_function(p).num
+    if num.is_zero:
         return p.graph.v == 0
-    den = 1
-    for c in num:
-        d = Fraction(c).denominator
-        den = den * d // math.gcd(den, d)
-    num_int = IntPoly(int(c * den) for c in num)
-    return poly_gcd(num_int, phi).is_constant
+    return poly_gcd(num, phi).is_constant
 
 
 def is_vertex_controllable(g: Graph, u: int) -> bool:
@@ -165,12 +146,6 @@ def is_vertex_controllable(g: Graph, u: int) -> bool:
         raise ValueError(f"vertex {u} out of range")
     deleted = vertex_deleted_char_polys(g)[u]
     return poly_gcd(deleted, graph_char_poly(g)).is_constant
-
-
-def support_and_dual_degree(p: PairSpec) -> tuple[int, int]:
-    """Support size (= rank of the walk matrix) and dual degree."""
-    s = walk_matrix_rank(p)
-    return s, s - 1
 
 
 def algebra_basis_check(p: PairSpec, bound: int = ALGEBRA_CHECK_BOUND) -> bool:
@@ -182,16 +157,11 @@ def algebra_basis_check(p: PairSpec, bound: int = ALGEBRA_CHECK_BOUND) -> bool:
     if v > bound:
         raise ValueError(f"algebra basis check capped at {bound} vertices")
     cols = walk_columns(p)
-    flats = []
-    for ci in cols:
-        for cj in cols:
-            flats.append([Fraction(a) * Fraction(b) for a in ci for b in cj])
-    rows = []
-    for f in flats:
-        d = 1
-        for x in f:
-            d = d * x.denominator // math.gcd(d, x.denominator)
-        rows.append([int(x * d) for x in f])
+    rows = [
+        clear_denominators([a * b for a in ci for b in cj])[0]
+        for ci in cols
+        for cj in cols
+    ]
     result = int_rank(rows, v * v) == v * v
     expected = is_controllable_rank(p)
     if result != expected:

@@ -13,22 +13,8 @@ from __future__ import annotations
 from .control import graph_char_poly
 from .errors import InternalConsistencyError
 from .graphs import Graph, automorphisms, laplacian, laplacian_rows
-from .matrices import (
-    ExactMatrix,
-    bilinear_numerator_poly,
-    char_poly,
-    int_rank,
-)
+from .matrices import bilinear_numerator_poly, char_poly, int_rank, krylov_columns
 from .polys import IntPoly
-
-
-def edge_difference_matrix(v: int, i: int, j: int) -> ExactMatrix:
-    """(e_i - e_j)(e_i - e_j)^T."""
-    if i == j:
-        raise ValueError("edge endpoints must differ")
-    h = [0] * v
-    h[i], h[j] = 1, -1
-    return ExactMatrix(v, v, [a * b for a in h for b in h])
 
 
 def _h_vector(g: Graph, i: int, j: int) -> list[int]:
@@ -76,28 +62,13 @@ def edge_perturbation_polys(
 
 def h_module_dimension(g: Graph, i: int, j: int) -> int:
     """Dimension of the L-module generated by e_i - e_j."""
-    h = _h_vector(g, i, j)
-    rows = laplacian_rows(g)
-    cols = [h]
-    for _ in range(g.v - 1):
-        prev = cols[-1]
-        cols.append(
-            [sum(rows[a][b] * prev[b] for b in range(g.v) if rows[a][b]) for a in range(g.v)]
-        )
-    return int_rank(cols, g.v)
+    return int_rank(krylov_columns(laplacian_rows(g), _h_vector(g, i, j), g.v), g.v)
 
 
 def bordered_rank(g: Graph, i: int, j: int) -> int:
     """Rank of (ones | h | Lh | ... | L^{v-1}h)."""
-    h = _h_vector(g, i, j)
-    rows = laplacian_rows(g)
-    cols = [[1] * g.v, h]
-    for _ in range(g.v - 1):
-        prev = cols[-1]
-        cols.append(
-            [sum(rows[a][b] * prev[b] for b in range(g.v) if rows[a][b]) for a in range(g.v)]
-        )
-    return int_rank(cols, g.v)
+    cols = krylov_columns(laplacian_rows(g), _h_vector(g, i, j), g.v)
+    return int_rank([[1] * g.v] + cols, g.v)
 
 
 def laplacian_pair_controllable(g: Graph, i: int, j: int) -> bool:

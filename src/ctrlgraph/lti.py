@@ -8,7 +8,6 @@ state recovery from an invertible observability matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -17,7 +16,8 @@ from .matrices import (
     ExactMatrix,
     bilinear_numerator_fractions,
     char_poly,
-    int_rank,
+    clear_denominators,
+    krylov_columns,
     mat_rank,
     solve,
 )
@@ -68,13 +68,9 @@ def outputs(sys: DiscreteSystem, states: Sequence[Sequence]) -> list:
 
 def controllability_matrix(a: ExactMatrix, b: Sequence) -> ExactMatrix:
     """(b  Ab ... A^{d-1}b)."""
-    d = a.rows
-    if len(b) != d:
+    if len(b) != a.rows:
         raise ValueError("dimension mismatch")
-    cols = [list(b)]
-    for _ in range(d - 1):
-        cols.append(a.matvec(cols[-1]))
-    return ExactMatrix(d, d, [cols[j][i] for i in range(d) for j in range(d)])
+    return ExactMatrix.from_rows(krylov_columns(a.row_lists(), b, a.rows)).transpose()
 
 
 def observability_matrix(a: ExactMatrix, c: Sequence) -> ExactMatrix:
@@ -101,16 +97,13 @@ def transfer_function(sys: DiscreteSystem) -> RationalFunction:
         return RationalFunction(IntPoly(), IntPoly([1]))
     if not sys.a.is_integer():
         raise ValueError("integer state matrix required for the transfer function")
-    num_coeffs = bilinear_numerator_fractions(sys.a, sys.c, sys.b)
-    den_lcm = 1
-    for x in num_coeffs:
-        den_lcm = math.lcm(den_lcm, Fraction(x).denominator)
-    psi = [int(Fraction(x) * den_lcm) for x in num_coeffs]  # deg <= d-1
-    phi = char_poly(sys.a)
-    # reverse both against degree d: numerator picks up t^{d-1}, so the
-    # extra factor of t in (1/t) phi_rev cancels cleanly
-    num_rev = IntPoly(reversed([psi[k] if k < len(psi) else 0 for k in range(d)]))
-    den_rev = IntPoly(reversed([phi[k] * den_lcm for k in range(d + 1)]))
+    psi, scale = clear_denominators(bilinear_numerator_fractions(sys.a, sys.c, sys.b))
+    phi = char_poly(sys.a) * scale
+    # reverse both against degree d (psi has d coefficients, phi d + 1):
+    # the numerator picks up t^{d-1}, so the extra factor of t in
+    # (1/t) phi_rev cancels cleanly
+    num_rev = IntPoly(reversed(psi))
+    den_rev = IntPoly(reversed(phi.coeffs))
     return RationalFunction(num_rev, den_rev).normalize()
 
 
@@ -124,21 +117,15 @@ def generating_identity_check(sys: DiscreteSystem, inputs: Sequence, order: int)
         raise ValueError("need at least `order` input values")
     states = simulate(sys, inputs, order)
     # Neumann expansion: coefficient of t^n is A^n x0 + sum A^{n-1-k} u_k b
-    apow_x0 = list(sys.x0)
-    series_terms = [list(apow_x0)]
-    apow_b = [list(sys.b)]
-    for n in range(1, order + 1):
-        apow_x0 = sys.a.matvec(apow_x0)
-        term = list(apow_x0)
-        for k in range(n):
-            coeff = inputs[k]
-            vec = apow_b[n - 1 - k]
-            for i in range(sys.dim):
-                term[i] += coeff * vec[i]
-        series_terms.append(term)
-        apow_b.append(sys.a.matvec(apow_b[-1]))
+    rows = sys.a.row_lists()
+    apow_x0 = krylov_columns(rows, sys.x0, order + 1)
+    apow_b = krylov_columns(rows, sys.b, order)
     for n in range(order + 1):
-        if any(Fraction(a) != Fraction(b) for a, b in zip(states[n], series_terms[n])):
+        term = [
+            x + sum(inputs[k] * apow_b[n - 1 - k][i] for k in range(n))
+            for i, x in enumerate(apow_x0[n])
+        ]
+        if any(Fraction(a) != Fraction(b) for a, b in zip(states[n], term)):
             return False, n
     return True, None
 

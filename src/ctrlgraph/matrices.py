@@ -66,13 +66,6 @@ class ExactMatrix:
             for e in self.entries
         )
 
-    def is_symmetric(self) -> bool:
-        return self.is_square and all(
-            self.at(i, j) == self.at(j, i)
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(
             self.cols,
@@ -132,41 +125,52 @@ class ExactMatrix:
         ]
 
 
-def _integer_rows(m: ExactMatrix) -> list[list[int]]:
-    """Scale each row to integers (rank is unaffected by row scaling)."""
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        d = lcm(*(Fraction(e).denominator for e in row)) if row else 1
-        out.append([int(Fraction(e) * d) for e in row])
-    return out
+def clear_denominators(values: Sequence) -> tuple[list[int], int]:
+    """(ints, d): the least d > 0 with every values[i] * d an integer, and
+    those integers.  Reads .numerator/.denominator, which ints have too, so
+    integer input builds no Fraction."""
+    d = lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
 
 
-def int_rank(rows: list[list[int]], ncols: int | None = None) -> int:
-    """Rank of an integer matrix by fraction-free Bareiss elimination."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    if ncols is None:
-        ncols = len(rows[0])
-    nrows = len(rows)
+def krylov_columns(rows: Sequence[Sequence], z: Sequence, count: int) -> list[list]:
+    """The Krylov (walk) columns z, Az, ..., A^{count-1}z of the matrix A
+    with the given rows; each row is walked over its nonzero entries only."""
+    nonzero = [[(j, x) for j, x in enumerate(r) if x] for r in rows]
+    cols = [list(z)] if count else []
+    for _ in range(count - 1):
+        prev = cols[-1]
+        cols.append([sum(x * prev[j] for j, x in nz) for nz in nonzero])
+    return cols
+
+
+def _bareiss(rows: list[list[int]], ncols: int) -> tuple[int, int, int]:
+    """Fraction-free Bareiss elimination of a copy of rows.
+
+    Returns (rank, sign of the row swaps, last pivot); for a square matrix
+    of full rank, sign * last pivot is the determinant.
+    """
+    m = [list(r) for r in rows]
+    nrows = len(m)
     rank = 0
+    sign = 1
     prev = 1
     for col in range(ncols):
         piv = None
         for r in range(rank, nrows):
-            if rows[r][col]:
+            if m[r][col]:
                 piv = r
                 break
         if piv is None:
             continue
         if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        p = m[rank][col]
+        pr = m[rank]
         for r in range(rank + 1, nrows):
-            f = rows[r][col]
-            rr = rows[r]
-            pr = rows[rank]
+            f = m[r][col]
+            rr = m[r]
             for c in range(col + 1, ncols):
                 rr[c] = (rr[c] * p - f * pr[c]) // prev
             rr[col] = 0
@@ -174,90 +178,38 @@ def int_rank(rows: list[list[int]], ncols: int | None = None) -> int:
         rank += 1
         if rank == nrows:
             break
-    return rank
+    return rank, sign, prev
+
+
+def int_rank(rows: list[list[int]], ncols: int | None = None) -> int:
+    """Rank of an integer matrix by fraction-free Bareiss elimination."""
+    if not rows:
+        return 0
+    return _bareiss(rows, len(rows[0]) if ncols is None else ncols)[0]
 
 
 def int_det(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix (Bareiss)."""
     n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        p = m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col]
-            rr = m[r]
-            pr = m[col]
-            for c in range(col + 1, n):
-                rr[c] = (rr[c] * p - f * pr[c]) // prev
-            rr[col] = 0
-        prev = p
-    return sign * m[n - 1][n - 1]
+    rank, sign, last = _bareiss(rows, n)
+    return sign * last if rank == n else 0
 
 
 def mat_rank(m: ExactMatrix) -> int:
-    """Exact rank over the rationals."""
-    return int_rank(_integer_rows(m), m.cols)
+    """Exact rank over the rationals (rows scaled to integers first)."""
+    return int_rank([clear_denominators(m.row(i))[0] for i in range(m.rows)], m.cols)
 
 
-def mat_det(m: ExactMatrix):
+def _gauss_jordan(m: ExactMatrix, rhs: Sequence[Sequence]) -> list[list[Fraction]]:
+    """X with m X = R, for the rows of R given as rhs (k entries each);
+    raises ValueError on a singular matrix."""
     if not m.is_square:
-        raise ValueError("determinant of a non-square matrix")
-    if m.is_integer():
-        return int_det([[int(Fraction(e)) for e in m.row(i)] for i in range(m.rows)])
-    # scale rows to integers and divide the scale factors back out
-    scale = Fraction(1)
-    rows = []
-    for i in range(m.rows):
-        row = m.row(i)
-        d = lcm(*(Fraction(e).denominator for e in row))
-        scale *= d
-        rows.append([int(Fraction(e) * d) for e in row])
-    return Fraction(int_det(rows)) / scale
-
-def solve(m: ExactMatrix, b: Sequence) -> list[Fraction]:
-    """Solve m x = b exactly; raises ValueError on a singular matrix."""
-    if not m.is_square:
-        raise ValueError("solve requires a square matrix")
+        raise ValueError("square matrix required")
     n = m.rows
-    if len(b) != n:
+    if len(rhs) != n:
         raise ValueError("shape mismatch")
-    aug = [[Fraction(e) for e in m.row(i)] + [Fraction(b[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col] / p
-                ar, ac = aug[r], aug[col]
-                for c in range(col, n + 1):
-                    ar[c] -= f * ac[c]
-    return [aug[i][n] / aug[i][i] for i in range(n)]
-
-
-def inverse(m: ExactMatrix) -> ExactMatrix:
-    if not m.is_square:
-        raise ValueError("inverse of a non-square matrix")
-    n = m.rows
     aug = [
-        [Fraction(e) for e in m.row(i)] + [Fraction(int(i == j)) for j in range(n)]
+        [Fraction(e) for e in m.row(i)] + [Fraction(x) for x in rhs[i]]
         for i in range(n)
     ]
     for col in range(n):
@@ -267,17 +219,24 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
         if piv != col:
             aug[col], aug[piv] = aug[piv], aug[col]
         p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
+        ac = aug[col] = [x / p for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col]:
                 f = aug[r][col]
-                ar, ac = aug[r], aug[col]
-                for c in range(col, 2 * n):
+                ar = aug[r]
+                for c in range(col, len(ac)):
                     ar[c] -= f * ac[c]
-    flat = []
-    for i in range(n):
-        flat.extend(aug[i][n:])
-    return ExactMatrix(n, n, flat)
+    return [r[n:] for r in aug]
+
+
+def solve(m: ExactMatrix, b: Sequence) -> list[Fraction]:
+    """Solve m x = b exactly; raises ValueError on a singular matrix."""
+    return [r[0] for r in _gauss_jordan(m, [[e] for e in b])]
+
+
+def inverse(m: ExactMatrix) -> ExactMatrix:
+    rows = _gauss_jordan(m, ExactMatrix.identity(m.rows).row_lists())
+    return ExactMatrix(m.rows, m.rows, [x for r in rows for x in r])
 
 
 ADJUGATE_CACHE_SIZE = 8
@@ -353,7 +312,7 @@ def bilinear_numerator_fractions(m: ExactMatrix, y: Sequence, z: Sequence) -> tu
 
 
 def bilinear_numerator_poly(m: ExactMatrix, y: Sequence, z: Sequence) -> IntPoly:
-    coeffs = bilinear_numerator_fractions(m, y, z)
-    if any(Fraction(c).denominator != 1 for c in coeffs):
+    coeffs, d = clear_denominators(bilinear_numerator_fractions(m, y, z))
+    if d != 1:
         raise ValueError("numerator polynomial is not integral")
-    return IntPoly(int(c) for c in coeffs)
+    return IntPoly(coeffs)

@@ -182,14 +182,6 @@ def poly_from_roots(roots: Sequence[int]) -> IntPoly:
     return p
 
 
-def monomial(k: int, coeff: int = 1) -> IntPoly:
-    return IntPoly([0] * k + [coeff])
-
-
-T = monomial(1)
-ONE = IntPoly([1])
-
-
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, all integer."""
     d = a.degree - b.degree
@@ -324,11 +316,3 @@ class RationalFunction:
 
     def __str__(self):
         return f"({self.num})/({self.den})"
-
-
-def rf_normalize(r: RationalFunction) -> RationalFunction:
-    return r.normalize()
-
-
-def distinct_pole_count(r: RationalFunction) -> int:
-    return r.distinct_pole_count()

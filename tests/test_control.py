@@ -16,7 +16,6 @@ from ctrlgraph.control import (
     numerator_coeffs,
     numerator_poly,
     pair_rational_function,
-    support_and_dual_degree,
     vertex_deleted_char_polys,
     is_vertex_controllable,
     walk_matrix,
@@ -134,10 +133,14 @@ def test_vertex_controllable():
 
 
 def test_support_and_dual_degree():
-    for n in (3, 5, 7):
-        assert support_and_dual_degree(PairSpec.from_subset(path(n), [0])) == (n, n - 1)
-    assert support_and_dual_degree(PairSpec.from_subset(path(3), [0, 1, 2])) == (2, 1)
-    assert support_and_dual_degree(PairSpec.from_subset(path(3), [])) == (0, -1)
+    # the support size is the walk-matrix rank, the dual degree one less
+    cases = [(path(n), [0], n) for n in (3, 5, 7)]
+    cases += [(path(3), [0, 1, 2], 2), (path(3), [], 0)]
+    for g, members, size in cases:
+        p = PairSpec.from_subset(g, members)
+        assert walk_matrix_rank(p) == size
+        rep = full_report(p)
+        assert (rep.support_size, rep.dual_degree) == (size, size - 1)
 
 
 def test_rational_vector_pairs():

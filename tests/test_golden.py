@@ -1,0 +1,116 @@
+"""Byte-for-byte pins of CLI output on fixed inputs.
+
+Each digest is the sha256 of one output file as the CLI writes it.  A
+refactor that keeps every verdict, polynomial and formatting choice keeps
+every digest; any other change shows up here first.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from ctrlgraph import cli
+
+from conftest import DATA_DIR
+
+CENSUS = {
+    1: (
+        "66dfe3324fe9a4465d456f2f0d4e01c208bd80dfe6a64e815afba5816ef5dfa2",
+        "7f9a8392cc468a214b128f0bbd2f653b4b1414aa7ac54cb0948fef74a323d8a6",
+    ),
+    2: (
+        "0fc2bf51761017c4936c3c6b44e11e3bd147c9158f5466c9ecb9b1035e8d4ad5",
+        "95cc566da311f03b5a392d8fbbaac986cc916da157cd8e7f37ae8db99cc2eb56",
+    ),
+    3: (
+        "8c3c7222ebde639ef2e0965622637489aaddbecd2e61166fa4336187644b4521",
+        "cfa30cc5234947af365383f8deb97daf55273d7b3cf82e61442e460ca1fe171f",
+    ),
+    4: (
+        "6e2b012ebe297bc3e600d719c81920e0d9de560413b1e7f243425f5bbfc96512",
+        "f9d795561ca346440b4683211d46b7064fc935fa2e31fb7525474649af9b2331",
+    ),
+    5: (
+        "4f7477ae01aeb9707f94cb2cf76640748d8400438c73ee27645c95eb2fa03fa0",
+        "ddbdf30d8673b2cd07aca5966de423f9d4ad381dbe3adb78385fde6c62db0ae7",
+    ),
+    6: (
+        "0461ba37a03f5cc513f0d921362b3b563c9797a422dac149bc6a95dab9d9dd1b",
+        "485d8b8db3edf2ba605039b33926f2ead09625b06bad4e730272a4c786528f80",
+    ),
+    7: (
+        "055c8247681eba37aa067045643abeaece3d6c87a5a6346cd777de08951a2542",
+        "ce1217a849e415af21f6a24085ab5add40c3207bdf5a0cebc579b829219ae003",
+    ),
+}
+
+ANALYZE = {
+    "DhC": "d786f8c4127ae192b418ded11b49c8ace302c10e021c0af9ab3dd0490efa38c1",
+    "EQjo": "556d7fb59108337fd3a1fc5d6b618caefd4fdaa4d6759f6883c20d0bfdcf689e",
+    "FCrUW": "b63e40fd7dfcb38467f9a7b1299a25140650a086ca60d3e4d45d9bb499be229d",
+}
+
+ISOCHECK_ARGS = ["F?`e_", "1", "FB_`O", "6"]
+ISOCHECK = "c16579b4468bbaaad8f47db7e580601b4c8c2e86d659f400d93ffa2bce58c40d"
+
+LTI_SPEC = {
+    "a": [[0, 1, 0], [2, 0, -1], [1, 1, 1]],
+    "b": [1, "1/2", 0],
+    "c": ["1/3", 0, 1],
+    "x0": ["2/3", -1, "5/7"],
+    "inputs": [1, 0, "-1/2", 3, 0, 0, 1, "2/5", 0, 0],
+    "order": 9,
+    "recover": {"outputs": [1, "-1/2", "7/3"], "m": 2},
+}
+LTI = "9a698af7f8613ea9461acc6483e3fa012babe9ba41e1c1fdf2d47771a88c87c3"
+
+SUBSETS_N5 = (
+    "e95c7d5e415329558f72e0ff7e755d6fe7936a248c2f5651ba302542528a10f5",
+    "6a1862c947b35945748302cc892ae56f44a5e4c841c71a96294adce213716aed",
+)
+
+
+def digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def census_digests(tmp_path, source, *extra):
+    csv, summary = tmp_path / "out.csv", tmp_path / "summary.json"
+    code = cli.main(
+        ["census", "--input", str(source), "--format", "csv", "--workers", "1",
+         "--out", str(csv), "--summary-out", str(summary), *extra]
+    )
+    assert code == cli.EXIT_OK
+    return digest(csv), digest(summary)
+
+
+def command_digest(tmp_path, argv) -> str:
+    out = tmp_path / "out.json"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+    return digest(out)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_census_bytes(tmp_path, n):
+    assert census_digests(tmp_path, DATA_DIR / f"graphs{n}.g6") == CENSUS[n]
+
+
+def test_census_subsets_bytes(tmp_path):
+    csv, summary = census_digests(tmp_path, DATA_DIR / "graphs5.g6", "--mode", "subsets")
+    assert (csv, summary) == SUBSETS_N5
+
+
+@pytest.mark.parametrize("graph6", sorted(ANALYZE))
+def test_analyze_all_bytes(tmp_path, graph6):
+    assert command_digest(tmp_path, ["analyze", graph6, "--subset", "all"]) == ANALYZE[graph6]
+
+
+def test_isocheck_bytes(tmp_path):
+    assert command_digest(tmp_path, ["isocheck", *ISOCHECK_ARGS]) == ISOCHECK
+
+
+def test_lti_bytes(tmp_path):
+    spec = tmp_path / "sys.json"
+    spec.write_text(json.dumps(LTI_SPEC))
+    assert command_digest(tmp_path, ["lti", str(spec)]) == LTI

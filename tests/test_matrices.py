@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctrlgraph.matrices import (
@@ -9,22 +10,40 @@ from ctrlgraph.matrices import (
     adjugate_samples,
     bilinear_numerator_poly,
     char_poly,
+    clear_denominators,
     inverse,
     int_det,
     int_rank,
-    mat_det,
+    krylov_columns,
     mat_rank,
     solve,
 )
 from ctrlgraph.polys import IntPoly
 
-from oracles import charpoly_at, cofactor_adjugate, cofactor_det, naive_rank
+from oracles import (
+    charpoly_at,
+    cofactor_adjugate,
+    cofactor_det,
+    mat_power_vec,
+    naive_rank,
+)
 
 
 def int_matrix(n, lo=-5, hi=5):
     return st.lists(
         st.lists(st.integers(lo, hi), min_size=n, max_size=n), min_size=n, max_size=n
     )
+
+
+INT_ENTRY = st.integers(-4, 4)
+RATIONAL_ENTRY = st.one_of(INT_ENTRY, st.fractions(-3, 3, max_denominator=5))
+
+
+@st.composite
+def square_and_vector(draw, entry, min_n=0, max_n=6):
+    n = draw(st.integers(min_n, max_n))
+    row = st.lists(entry, min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n)), draw(row)
 
 
 def test_rank_identity():
@@ -114,14 +133,45 @@ def test_solve_and_inverse():
     assert m @ inverse(m) == ExactMatrix.identity(2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([INT_ENTRY, RATIONAL_ENTRY]).flatmap(square_and_vector),
+    st.integers(0, 8),
+)
+def test_krylov_columns_match_repeated_matvec(pair, count):
+    # non-symmetric on purpose, and over the rationals as well as the integers
+    rows, z = pair
+    cols = krylov_columns(rows, z, count)
+    assert cols == [mat_power_vec(rows, z, k) for k in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_and_vector(RATIONAL_ENTRY, min_n=1, max_n=5))
+def test_solve_and_inverse_on_random_rational_matrices(pair):
+    rows, b = pair
+    assume(naive_rank(rows) == len(rows))
+    m = ExactMatrix.from_rows(rows)
+    assert m @ inverse(m) == ExactMatrix.identity(m.rows)
+    assert m.matvec(solve(m, b)) == b
+
+
+@settings(max_examples=100)
+@given(st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=30))))
+def test_clear_denominators_is_least_common_multiple(values):
+    ints, d = clear_denominators(values)
+    assert d == math.lcm(*(Fraction(x).denominator for x in values))
+    assert len(ints) == len(values)
+    assert all(type(i) is int and i == x * d for i, x in zip(ints, values))
+
+
+def test_clear_denominators_keeps_integers():
+    assert clear_denominators([3, 0, -2]) == ([3, 0, -2], 1)
+    assert clear_denominators([]) == ([], 1)
+
+
 def test_solve_singular():
     with pytest.raises(ValueError):
         solve(ExactMatrix.from_rows([[1, 1], [1, 1]]), [1, 2])
-
-
-def test_mat_det_rational():
-    m = ExactMatrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])
-    assert mat_det(m) == Fraction(1, 3)
 
 
 def test_bilinear_numerator_is_adjugate_quadratic_form():

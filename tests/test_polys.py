@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 from ctrlgraph.polys import (
     IntPoly,
     RationalFunction,
-    distinct_pole_count,
     distinct_root_count,
     interpolate_fractions,
     poly_from_roots,
     poly_gcd,
     poly_squarefree,
-    rf_normalize,
     squarefree_part,
 )
 
@@ -95,17 +93,17 @@ def test_squarefree_part():
 
 
 def test_rf_normalize_already_reduced():
-    r = rf_normalize(RationalFunction(T2_1, T3_2T))
+    r = RationalFunction(T2_1, T3_2T).normalize()
     assert r.num == T2_1 and r.den == T3_2T
 
 
 def test_rf_normalize_cancels():
-    r = rf_normalize(RationalFunction(IntPoly([-1, 1]), T2_1))
+    r = RationalFunction(IntPoly([-1, 1]), T2_1).normalize()
     assert r.num == IntPoly([1]) and r.den == IntPoly([1, 1])
 
 
 def test_rf_normalize_zero_numerator():
-    r = rf_normalize(RationalFunction(IntPoly(), T3_2T))
+    r = RationalFunction(IntPoly(), T3_2T).normalize()
     assert r.num.is_zero and r.den == IntPoly([1])
 
 
@@ -115,8 +113,8 @@ def test_rf_zero_denominator_rejected():
 
 
 def test_distinct_pole_count():
-    assert distinct_pole_count(RationalFunction(T2_1, T3_2T)) == 3
-    assert distinct_pole_count(RationalFunction(IntPoly([1]), IntPoly([1, -2, 1]))) == 1
+    assert RationalFunction(T2_1, T3_2T).distinct_pole_count() == 3
+    assert RationalFunction(IntPoly([1]), IntPoly([1, -2, 1])).distinct_pole_count() == 1
 
 
 @settings(max_examples=60)
@@ -129,7 +127,7 @@ def test_pole_count_invariant_under_normalize(a, b):
     if den.is_zero:
         return
     r = RationalFunction(num, den)
-    assert distinct_pole_count(r) == distinct_pole_count(rf_normalize(r))
+    assert r.distinct_pole_count() == r.normalize().distinct_pole_count()
 
 
 def test_interpolation_round_trip():
