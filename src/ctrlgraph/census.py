@@ -43,7 +43,6 @@ CSV_FORMAT_VERSION = 1
 class CensusConfig:
     modes: tuple[str, ...] = ("full", "vertices")  # any of full/vertices/subsets
     workers: int = 1
-    lenient: bool = False
     max_n: int | None = None
 
 
@@ -67,6 +66,12 @@ class CensusSummary:
     per_n: dict = field(default_factory=dict)
     errors: int = 0
     total: int = 0
+
+
+def all_subsets(v: int):
+    """Every subset of range(v), by size and then lexicographically."""
+    for r in range(v + 1):
+        yield from itertools.combinations(range(v), r)
 
 
 def analyze_line(task) -> CensusRow:
@@ -97,12 +102,10 @@ def analyze_line(task) -> CensusRow:
         if g.v > SUBSET_GUARD:
             row.error = f"subset enumeration guarded at v <= {SUBSET_GUARD}"
             return row
-        count = 0
-        for r in range(g.v + 1):
-            for s in itertools.combinations(range(g.v), r):
-                if control.is_controllable_rank(control.PairSpec.from_subset(g, s)):
-                    count += 1
-        row.controllable_subsets = count
+        row.controllable_subsets = sum(
+            control.is_controllable_rank(control.PairSpec.from_subset(g, s))
+            for s in all_subsets(g.v)
+        )
         row.total_subsets = 2**g.v
     return row
 

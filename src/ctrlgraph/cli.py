@@ -9,7 +9,6 @@ exceeded, 4 internal-consistency failure (a violated theorem, i.e. a bug).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -25,8 +24,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_GUARD = 3
 EXIT_INCONSISTENT = 4
-
-ANALYZE_ALL_GUARD = 16
 
 
 class CliError(Exception):
@@ -71,15 +68,12 @@ def _parse_subset_arg(arg: str, v: int):
     if arg == "vertices":
         return [(u,) for u in range(v)]
     if arg == "all":
-        if v > ANALYZE_ALL_GUARD:
+        if v > census_mod.SUBSET_GUARD:
             raise CliError(
-                f"subset enumeration guarded at v <= {ANALYZE_ALL_GUARD}", EXIT_GUARD
+                f"subset enumeration guarded at v <= {census_mod.SUBSET_GUARD}",
+                EXIT_GUARD,
             )
-        return [
-            s
-            for r in range(v + 1)
-            for s in itertools.combinations(range(v), r)
-        ]
+        return list(census_mod.all_subsets(v))
     try:
         members = [int(tok) for tok in arg.replace(",", " ").split()]
     except ValueError:
@@ -117,7 +111,6 @@ def cmd_census(args) -> int:
     config = census_mod.CensusConfig(
         modes=modes,
         workers=args.workers,
-        lenient=args.lenient,
         max_n=args.max_n,
     )
     rows, summary = census_mod.run_census(lines, config)
@@ -204,11 +197,14 @@ def cmd_lti(args) -> int:
         "controllable": lti_mod.is_controllable(sys_.a, sys_.b),
         "observable": lti_mod.is_observable(sys_.a, sys_.c),
     }
-    tf = lti_mod.transfer_function(sys_)
-    doc["transfer_function"] = {
-        "numerator": [str(x) for x in tf.num.coeffs],
-        "denominator": [str(x) for x in tf.den.coeffs],
-    }
+    try:
+        tf = lti_mod.transfer_function(sys_)
+        doc["transfer_function"] = {
+            "numerator": [str(x) for x in tf.num.coeffs],
+            "denominator": [str(x) for x in tf.den.coeffs],
+        }
+    except ValueError as exc:
+        doc["transfer_function"] = {"error": str(exc)}
     if len(inputs) >= order:
         ok, first_bad = lti_mod.generating_identity_check(sys_, inputs, order)
         doc["generating_identity"] = {"ok": ok, "first_mismatch": first_bad}

@@ -17,20 +17,21 @@ from typing import Iterable, Sequence
 
 from . import irreducible
 from .errors import InternalConsistencyError
-from .graphs import Graph, adjacency, adjacency_rows, check_subset, cone, covering_radius
+from .graphs import Graph, adjacency_rows, check_subset, cone, covering_radius
 from .matrices import (
-    ADJUGATE_CACHE_SIZE,
     ExactMatrix,
     adjugate_samples,
     bilinear_numerator_fractions,
-    char_poly,
     clear_denominators,
     int_rank,
     krylov_columns,
 )
-from .polys import IntPoly, RationalFunction, poly_gcd, poly_squarefree
+from .polys import IntPoly, RationalFunction, poly_gcd
 
 ALGEBRA_CHECK_BOUND = 7
+
+# Graphs whose kernel result is kept: memory stays flat on long streams.
+ADJUGATE_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -97,22 +98,29 @@ def is_controllable_rank(p: PairSpec) -> bool:
 
 
 @lru_cache(maxsize=ADJUGATE_CACHE_SIZE)
+def graph_adjugate(g: Graph) -> tuple:
+    """(phi, (B_0, ..., B_{v-1})) of the adjacency matrix: the one kernel
+    pass per graph, which every spectral quantity below reads."""
+    return adjugate_samples(adjacency_rows(g))
+
+
+@lru_cache(maxsize=ADJUGATE_CACHE_SIZE)
 def graph_char_poly(g: Graph) -> IntPoly:
     """phi(X, t) = det(tI - A)."""
-    return char_poly(adjacency(g))
+    return graph_adjugate(g)[0]
 
 
 @lru_cache(maxsize=ADJUGATE_CACHE_SIZE)
 def vertex_deleted_char_polys(g: Graph) -> tuple[IntPoly, ...]:
     """phi(X minus u, t) for every u, read off the adjugate diagonal."""
-    _, bs = adjugate_samples(adjacency(g))
+    bs = graph_adjugate(g)[1]
     return tuple(IntPoly(bk[u][u] for bk in bs) for u in range(g.v))
 
 
 def numerator_coeffs(p: PairSpec) -> tuple:
     """Fraction coefficients of phi_S: the numerator of z^T (tI-A)^{-1} z
     over phi(X, t), exact for any rational vector."""
-    return bilinear_numerator_fractions(adjacency(p.graph), p.vector, p.vector)
+    return bilinear_numerator_fractions(graph_adjugate(p.graph)[1], p.vector, p.vector)
 
 
 def numerator_poly(p: PairSpec) -> IntPoly:
@@ -130,14 +138,14 @@ def pair_rational_function(p: PairSpec) -> RationalFunction:
 
 
 def is_controllable_poles(p: PairSpec) -> bool:
-    """Pole-count characterization: v distinct poles of z^T(tI-A)^{-1}z."""
-    phi = graph_char_poly(p.graph)
-    if not poly_squarefree(phi):
-        return False
+    """Pole-count characterization: v distinct poles of z^T(tI-A)^{-1}z.
+
+    A is symmetric, so z^T(tI-A)^{-1}z = sum_theta |E_theta z|^2/(t - theta)
+    over its distinct eigenvalues: every pole is simple, and v distinct
+    poles means gcd(phi_S, phi) = 1 (no squarefree test of phi needed).
+    """
     num = pair_rational_function(p).num
-    if num.is_zero:
-        return p.graph.v == 0
-    return poly_gcd(num, phi).is_constant
+    return poly_gcd(num, graph_char_poly(p.graph)).is_constant
 
 
 def is_vertex_controllable(g: Graph, u: int) -> bool:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import Graph6Error
-from .matrices import ExactMatrix
 
 AUTOMORPHISM_BOUND = 10
 
@@ -101,10 +100,6 @@ def adjacency_rows(g: Graph) -> list[list[int]]:
     return rows
 
 
-def adjacency(g: Graph) -> ExactMatrix:
-    return ExactMatrix.from_rows(adjacency_rows(g))
-
-
 def laplacian_rows(g: Graph) -> list[list[int]]:
     rows = [[0] * g.v for _ in range(g.v)]
     for a, b in g.edges:
@@ -113,10 +108,6 @@ def laplacian_rows(g: Graph) -> list[list[int]]:
         rows[a][a] += 1
         rows[b][b] += 1
     return rows
-
-
-def laplacian(g: Graph) -> ExactMatrix:
-    return ExactMatrix.from_rows(laplacian_rows(g))
 
 
 def complement(g: Graph) -> Graph:

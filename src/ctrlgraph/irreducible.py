@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 
+from .errors import InternalConsistencyError
 from .polys import IntPoly, interpolate_fractions, poly_squarefree
 
 IRREDUCIBILITY_BOUND = 12
@@ -107,7 +108,8 @@ def _ddf_degrees(f: list[int], p: int) -> list[int]:
         if len(g) > 1:
             degrees.extend([k] * ((len(g) - 1) // k))
             fstar, rem = _gf_divmod(fstar, g, p)
-            assert not rem
+            if rem:
+                raise InternalConsistencyError(f"DDF factor does not divide mod {p}")
             h = _gf_mod(h, fstar, p)
     if len(fstar) > 1:
         degrees.append(len(fstar) - 1)

@@ -10,10 +10,15 @@ the all-ones vector.
 
 from __future__ import annotations
 
-from .control import graph_char_poly
 from .errors import InternalConsistencyError
-from .graphs import Graph, automorphisms, laplacian, laplacian_rows
-from .matrices import bilinear_numerator_poly, char_poly, int_rank, krylov_columns
+from .graphs import Graph, automorphisms, laplacian_rows
+from .matrices import (
+    adjugate_samples,
+    bilinear_numerator_poly,
+    char_poly,
+    int_rank,
+    krylov_columns,
+)
 from .polys import IntPoly
 
 
@@ -28,7 +33,7 @@ def _h_vector(g: Graph, i: int, j: int) -> list[int]:
 
 
 def laplacian_char_poly(g: Graph) -> IntPoly:
-    return char_poly(laplacian(g))
+    return char_poly(laplacian_rows(g))
 
 
 def edge_perturbation_polys(
@@ -52,8 +57,8 @@ def edge_perturbation_polys(
     else:
         other = Graph.from_edges(g.v, set(g.edges) - {(min(i, j), max(i, j))})
     direct = laplacian_char_poly(other)
-    psi = bilinear_numerator_poly(laplacian(g), h, h)
-    base = laplacian_char_poly(g)
+    base, bs = adjugate_samples(laplacian_rows(g))
+    psi = bilinear_numerator_poly(bs, h, h)
     formula = base - psi if mode == "add" else base + psi
     if direct != formula:
         raise InternalConsistencyError("Laplacian edge perturbation identity failed")

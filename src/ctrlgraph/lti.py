@@ -14,8 +14,8 @@ from typing import Sequence
 
 from .matrices import (
     ExactMatrix,
+    adjugate_samples,
     bilinear_numerator_fractions,
-    char_poly,
     clear_denominators,
     krylov_columns,
     mat_rank,
@@ -92,13 +92,9 @@ def transfer_function(sys: DiscreteSystem) -> RationalFunction:
     Built by reversing the coefficients of the adjugate numerator and the
     characteristic polynomial: det(I - tA) = t^d phi(1/t).
     """
-    d = sys.dim
-    if d == 0:
-        return RationalFunction(IntPoly(), IntPoly([1]))
-    if not sys.a.is_integer():
-        raise ValueError("integer state matrix required for the transfer function")
-    psi, scale = clear_denominators(bilinear_numerator_fractions(sys.a, sys.c, sys.b))
-    phi = char_poly(sys.a) * scale
+    phi, bs = adjugate_samples(sys.a.row_lists())
+    psi, scale = clear_denominators(bilinear_numerator_fractions(bs, sys.c, sys.b))
+    phi = phi * scale
     # reverse both against degree d (psi has d coefficients, phi d + 1):
     # the numerator picks up t^{d-1}, so the extra factor of t in
     # (1/t) phi_rev cancels cleanly

@@ -3,14 +3,15 @@
 Entries are Python ints or Fractions (ints are kept as ints so the common
 all-integer case stays on the fast path).  Rank and determinants use
 fraction-free Bareiss elimination.  The characteristic polynomial and the
-adjugate of tI - A come together from one integer Faddeev-LeVerrier pass,
-as phi(t) and the coefficient matrices B_k of adj(tI - A) = sum B_k t^k.
+adjugate of tI - A come together from one integer Faddeev-LeVerrier pass
+over the rows of A, as phi(t) and the coefficient matrices B_k of
+adj(tI - A) = sum B_k t^k; the pass keeps no state, so its caller holds on
+to the result and passes it down.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
@@ -60,12 +61,6 @@ class ExactMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_integer(self) -> bool:
-        return all(
-            isinstance(e, int) or (isinstance(e, Fraction) and e.denominator == 1)
-            for e in self.entries
-        )
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(
             self.cols,
@@ -101,9 +96,6 @@ class ExactMatrix:
         return ExactMatrix(
             self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)]
         )
-
-    def scale(self, c) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, [c * e for e in self.entries])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -239,20 +231,25 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(m.rows, m.rows, [x for r in rows for x in r])
 
 
-ADJUGATE_CACHE_SIZE = 8
+def adjugate_samples(rows: Sequence[Sequence]) -> tuple:
+    """(phi, (B_0, ..., B_{n-1})) for a square integer matrix A given by its
+    rows, where phi = det(tI - A) and adj(tI - A) = sum_k B_k t^k, each B_k
+    a tuple of integer rows.  Integral Fractions are accepted.
 
-
-@lru_cache(maxsize=ADJUGATE_CACHE_SIZE)
-def _faddeev_leverrier(rows: tuple) -> tuple:
-    """(phi, (B_0, ..., B_{n-1})) with adj(tI - A) = sum_k B_k t^k.
-
-    M_1 = I; for j = 1..n: c_{n-j} = -tr(A M_j)/j, B_{n-j} = M_j and
-    M_{j+1} = A M_j + c_{n-j} I.  Each division by j is exact over the
-    integers and M_{n+1} = 0 (Cayley-Hamilton); both are checked.  The
-    cache is bounded so that memory stays flat on long graph6 streams.
+    One integer Faddeev-LeVerrier pass: M_1 = I; for j = 1..n:
+    c_{n-j} = -tr(A M_j)/j, B_{n-j} = M_j and M_{j+1} = A M_j + c_{n-j} I.
+    Each division by j is exact over the integers and M_{n+1} = 0
+    (Cayley-Hamilton); both are checked.  The name is kept because the
+    benchmark's tracer (perfbench/spans.py) looks it up by name.
     """
     n = len(rows)
-    nonzero = [[(k, x) for k, x in enumerate(r) if x] for r in rows]
+    if any(len(r) != n for r in rows):
+        raise ValueError("adjugate of a non-square matrix")
+    if not all(
+        isinstance(x, (int, Fraction)) and x.denominator == 1 for r in rows for x in r
+    ):
+        raise ValueError("integer matrix required")
+    nonzero = [[(k, int(x)) for k, x in enumerate(r) if x] for r in rows]
     coeffs = [0] * n + [1]
     bs = [None] * n
     m = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -278,41 +275,24 @@ def _faddeev_leverrier(rows: tuple) -> tuple:
     return IntPoly(coeffs), tuple(bs)
 
 
-def adjugate_samples(m: ExactMatrix) -> tuple:
-    """(phi, (B_0, ..., B_{n-1})) for a square integer matrix m, where
-    phi = det(tI - m) and adj(tI - m) = sum_k B_k t^k, each B_k a tuple of
-    integer rows.
-
-    One integer Faddeev-LeVerrier pass.  The name is kept because the
-    benchmark's tracer (perfbench/spans.py) looks it up by name.
-    """
-    if not m.is_square:
-        raise ValueError("adjugate of a non-square matrix")
-    if not m.is_integer():
-        raise ValueError("integer matrix required")
-    rows = tuple(tuple(int(e) for e in m.row(i)) for i in range(m.rows))
-    return _faddeev_leverrier(rows)
+def char_poly(rows: Sequence[Sequence]) -> IntPoly:
+    """det(tI - A) for a square integer matrix A given by its rows."""
+    return adjugate_samples(rows)[0]
 
 
-def char_poly(m: ExactMatrix) -> IntPoly:
-    """det(tI - m) for a square integer matrix, exact and monic."""
-    return adjugate_samples(m)[0]
-
-
-def bilinear_numerator_fractions(m: ExactMatrix, y: Sequence, z: Sequence) -> tuple:
-    """Coefficients (low first, dim many) of y^T adj(tI - m) z: ints for
-    integer vectors, Fractions otherwise."""
-    n = m.rows
+def bilinear_numerator_fractions(bs: Sequence, y: Sequence, z: Sequence) -> tuple:
+    """Coefficients (low first, dim many) of y^T adj(tI - A) z, from the B_k
+    of adjugate_samples: ints for integer vectors, Fractions otherwise."""
+    n = len(bs)
     if len(y) != n or len(z) != n:
         raise ValueError("shape mismatch")
     ys = [(i, a) for i, a in enumerate(y) if a]
     zs = [(j, b) for j, b in enumerate(z) if b]
-    _, bs = adjugate_samples(m)
     return tuple(sum(a * bk[i][j] * b for i, a in ys for j, b in zs) for bk in bs)
 
 
-def bilinear_numerator_poly(m: ExactMatrix, y: Sequence, z: Sequence) -> IntPoly:
-    coeffs, d = clear_denominators(bilinear_numerator_fractions(m, y, z))
+def bilinear_numerator_poly(bs: Sequence, y: Sequence, z: Sequence) -> IntPoly:
+    coeffs, d = clear_denominators(bilinear_numerator_fractions(bs, y, z))
     if d != 1:
         raise ValueError("numerator polynomial is not integral")
     return IntPoly(coeffs)

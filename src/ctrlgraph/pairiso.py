@@ -22,7 +22,7 @@ from .control import (
     walk_matrix,
 )
 from .errors import InternalConsistencyError
-from .graphs import Graph, adjacency, complement
+from .graphs import Graph, adjacency_rows, complement
 from .matrices import ExactMatrix, int_rank, inverse
 
 
@@ -49,8 +49,8 @@ def q_matrix(p1: PairSpec, p2: PairSpec) -> ExactMatrix:
     ident = ExactMatrix.identity(v)
     if q.transpose() @ q != ident:
         raise InternalConsistencyError("Q is not orthogonal")
-    a1 = adjacency(p1.graph)
-    a2 = adjacency(p2.graph)
+    a1 = ExactMatrix.from_rows(adjacency_rows(p1.graph))
+    a2 = ExactMatrix.from_rows(adjacency_rows(p2.graph))
     if q @ a1 @ q.transpose() != a2:
         raise InternalConsistencyError("Q does not conjugate A to B")
     if q.matvec(list(p1.vector)) != [Fraction(x) for x in p2.vector]:
@@ -63,7 +63,7 @@ def q_involution_check(g: Graph, s, t) -> bool:
     p1 = PairSpec.from_subset(g, s)
     p2 = PairSpec.from_subset(g, t)
     q = q_matrix(p1, p2)
-    a = adjacency(g)
+    a = ExactMatrix.from_rows(adjacency_rows(g))
     if q @ a != a @ q:
         raise InternalConsistencyError("Q does not commute with A")
     if q @ q != ExactMatrix.identity(g.v):

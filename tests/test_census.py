@@ -5,7 +5,7 @@ import jsonschema
 
 from ctrlgraph import census, control
 from ctrlgraph.census import CensusConfig, run_census, rows_to_csv
-from ctrlgraph.matrices import ADJUGATE_CACHE_SIZE
+from ctrlgraph.control import ADJUGATE_CACHE_SIZE
 
 from conftest import census_lines
 
@@ -72,9 +72,13 @@ def test_csv_header_matches_doc():
 
 
 def test_graph_keyed_caches_stay_bounded():
-    # a long stream must not grow the per-graph polynomial caches
+    # a long stream must not grow the per-graph kernel and polynomial caches
     run_census(list(census_lines(7)), CensusConfig(workers=1))
-    for cached in (control.graph_char_poly, control.vertex_deleted_char_polys):
+    for cached in (
+        control.graph_adjugate,
+        control.graph_char_poly,
+        control.vertex_deleted_char_polys,
+    ):
         info = cached.cache_info()
         assert info.maxsize == ADJUGATE_CACHE_SIZE
         assert info.currsize <= ADJUGATE_CACHE_SIZE

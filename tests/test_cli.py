@@ -177,6 +177,21 @@ def test_lti_recovery_and_singular_case(tmp_path):
     assert "error" in doc["recovered_state"]
 
 
+def test_lti_non_integer_state_matrix(tmp_path):
+    # the transfer function needs an integer A; the rest of the report stays
+    spec = tmp_path / "sys.json"
+    spec.write_text(json.dumps({
+        "a": [["1/2", 0], [1, 0]],
+        "b": [1, 0],
+        "c": [0, 1],
+    }))
+    code, text = run(["lti", str(spec)], tmp_path)
+    assert code == cli.EXIT_OK
+    doc = json.loads(text)
+    assert doc["controllable"] is True and doc["observable"] is True
+    assert "error" in doc["transfer_function"]
+
+
 def test_lti_bad_spec(tmp_path):
     spec = tmp_path / "sys.json"
     spec.write_text("{not json")

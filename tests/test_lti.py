@@ -103,7 +103,7 @@ def test_transfer_denominator_is_reversed_charpoly():
         d = rng.randint(1, 5)
         sys = random_system(rng, d)
         tf = transfer_function(sys)
-        phi = char_poly(sys.a)
+        phi = char_poly(sys.a.row_lists())
         rev = IntPoly(reversed([phi[k] for k in range(d + 1)]))
         # denominators agree as rational functions (up to the cancelled gcd)
         lhs = RationalFunction(tf.num * rev, tf.den)

@@ -74,11 +74,11 @@ def test_det_matches_cofactor(rows):
 
 
 def test_char_poly_1x1_zero():
-    assert char_poly(ExactMatrix.from_rows([[0]])) == IntPoly([0, 1])
+    assert char_poly([[0]]) == IntPoly([0, 1])
 
 
 def test_char_poly_p2():
-    m = ExactMatrix.from_rows([[0, 1], [1, 0]])
+    m = [[0, 1], [1, 0]]
     assert char_poly(m) == IntPoly([-1, 0, 1])
 
 
@@ -88,7 +88,7 @@ def test_char_poly_matches_cofactor_oracle(rows, c):
     # symmetrize so the case matches how the library is used
     n = len(rows)
     sym = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-    p = char_poly(ExactMatrix.from_rows(sym))
+    p = char_poly(sym)
     assert p.evaluate(c) == charpoly_at(sym, c)
 
 
@@ -97,7 +97,7 @@ def test_char_poly_matches_cofactor_oracle(rows, c):
 def test_adjugate_pass_matches_cofactor_oracle(rows):
     # non-symmetric on purpose: the pass must not rely on A = A^T
     n = len(rows)
-    phi, bs = adjugate_samples(ExactMatrix.from_rows(rows))
+    phi, bs = adjugate_samples(rows)
     assert phi.degree == n and phi.leading() == 1
     assert len(bs) == n
     for c in (-3, -1, 0, 2, 5):
@@ -115,15 +115,24 @@ def test_adjugate_pass_matches_cofactor_oracle(rows):
 def test_char_poly_block_diagonal_multiplies():
     a = [[0, 1], [1, 0]]
     b = [[2]]
-    block = ExactMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 2]])
-    assert char_poly(block) == char_poly(ExactMatrix.from_rows(a)) * char_poly(
-        ExactMatrix.from_rows(b)
-    )
+    block = [[0, 1, 0], [1, 0, 0], [0, 0, 2]]
+    assert char_poly(block) == char_poly(a) * char_poly(b)
 
 
 def test_char_poly_requires_square():
     with pytest.raises(ValueError):
-        char_poly(ExactMatrix.zero(2, 3))
+        char_poly([[0, 0, 0], [0, 0, 0]])
+
+
+def test_adjugate_samples_requires_integral_rows():
+    # integral Fractions are integers; anything else is refused
+    assert adjugate_samples([[Fraction(2), 1], [1, Fraction(0)]]) == adjugate_samples(
+        [[2, 1], [1, 0]]
+    )
+    with pytest.raises(ValueError):
+        adjugate_samples([[Fraction(1, 2), 0], [1, 0]])
+    with pytest.raises(ValueError):
+        adjugate_samples([[0, 1], [1]])
 
 
 def test_solve_and_inverse():
@@ -176,9 +185,9 @@ def test_solve_singular():
 
 def test_bilinear_numerator_is_adjugate_quadratic_form():
     # 2x2 swap matrix: adj(tI - A) = [[t, 1], [1, t]]
-    m = ExactMatrix.from_rows([[0, 1], [1, 0]])
-    assert bilinear_numerator_poly(m, [1, 1], [1, 1]) == IntPoly([2, 2])
-    assert bilinear_numerator_poly(m, [1, 0], [1, 0]) == IntPoly([0, 1])
+    _, bs = adjugate_samples([[0, 1], [1, 0]])
+    assert bilinear_numerator_poly(bs, [1, 1], [1, 1]) == IntPoly([2, 2])
+    assert bilinear_numerator_poly(bs, [1, 0], [1, 0]) == IntPoly([0, 1])
 
 
 def test_matmul_and_transpose():
