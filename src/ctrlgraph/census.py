@@ -17,7 +17,7 @@ import multiprocessing
 from dataclasses import dataclass, field
 
 from . import control
-from .errors import Graph6Error
+from .errors import Graph6Error, InternalConsistencyError
 from .graphs import parse_graph6
 
 SUBSET_GUARD = 16
@@ -87,26 +87,29 @@ def analyze_line(task) -> CensusRow:
     if max_n is not None and g.v > max_n:
         row.error = f"graph on {g.v} vertices exceeds --max-n {max_n}"
         return row
-    if "full" in modes:
-        p = control.PairSpec.from_subset(g, range(g.v))
-        rep = control.full_report(p)
-        row.rank_full = rep.rank_of_w
-        row.dual_degree_full = rep.dual_degree
-        row.controllable_full = rep.controllable
-        row.irreducible_charpoly = control.is_charpoly_irreducible(g)
-    if "vertices" in modes:
-        row.controllable_vertices = sum(
-            1 for u in range(g.v) if control.is_vertex_controllable(g, u)
-        )
-    if "subsets" in modes:
-        if g.v > SUBSET_GUARD:
-            row.error = f"subset enumeration guarded at v <= {SUBSET_GUARD}"
-            return row
-        row.controllable_subsets = sum(
-            control.is_controllable_rank(control.PairSpec.from_subset(g, s))
-            for s in all_subsets(g.v)
-        )
-        row.total_subsets = 2**g.v
+    try:
+        if "full" in modes:
+            p = control.PairSpec.from_subset(g, range(g.v))
+            rep = control.full_report(p)
+            row.rank_full = rep.rank_of_w
+            row.dual_degree_full = rep.dual_degree
+            row.controllable_full = rep.controllable
+            row.irreducible_charpoly = control.is_charpoly_irreducible(g)
+        if "vertices" in modes:
+            row.controllable_vertices = sum(
+                1 for u in range(g.v) if control.is_vertex_controllable(g, u)
+            )
+        if "subsets" in modes:
+            if g.v > SUBSET_GUARD:
+                row.error = f"subset enumeration guarded at v <= {SUBSET_GUARD}"
+                return row
+            row.controllable_subsets = sum(
+                control.is_controllable_rank(control.PairSpec.from_subset(g, s))
+                for s in all_subsets(g.v)
+            )
+            row.total_subsets = 2**g.v
+    except InternalConsistencyError as exc:
+        raise InternalConsistencyError(f"line {line_no} ({row.graph6}): {exc}") from exc
     return row
 
 

@@ -18,7 +18,6 @@ from . import census as census_mod
 from . import control, lti as lti_mod, pairiso
 from .errors import Graph6Error, InternalConsistencyError
 from .graphs import cone, parse_graph6
-from .matrices import ExactMatrix
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -37,8 +36,8 @@ def _fraction_str(x) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _matrix_json(m: ExactMatrix) -> list[list[str]]:
-    return [[_fraction_str(e) for e in m.row(i)] for i in range(m.rows)]
+def _matrix_json(rows) -> list[list[str]]:
+    return [[_fraction_str(e) for e in r] for r in rows]
 
 
 def _radius_json(r):
@@ -166,9 +165,7 @@ def cmd_isocheck(args) -> int:
 
 
 def _parse_rational(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
         return Fraction(x)
     raise CliError(f"expected an integer or 'p/q' string, got {x!r}")
 

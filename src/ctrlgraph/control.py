@@ -19,12 +19,13 @@ from . import irreducible
 from .errors import InternalConsistencyError
 from .graphs import Graph, adjacency_rows, check_subset, cone, covering_radius
 from .matrices import (
-    ExactMatrix,
     adjugate_samples,
     bilinear_numerator_fractions,
+    bilinear_numerator_poly,
     clear_denominators,
     int_rank,
     krylov_columns,
+    transpose,
 )
 from .polys import IntPoly, RationalFunction, poly_gcd
 
@@ -59,10 +60,6 @@ class PairSpec:
             entries = tuple(int(x) for x in entries)
         return cls(g, entries, subset)
 
-    @property
-    def is_integer_vector(self) -> bool:
-        return all(Fraction(x).denominator == 1 for x in self.vector)
-
 
 @dataclass(frozen=True)
 class ControllabilityReport:
@@ -83,8 +80,8 @@ def walk_columns(p: PairSpec) -> list[list]:
     return krylov_columns(adjacency_rows(p.graph), p.vector, p.graph.v)
 
 
-def walk_matrix(p: PairSpec) -> ExactMatrix:
-    return ExactMatrix.from_rows(walk_columns(p)).transpose()
+def walk_matrix(p: PairSpec) -> tuple:
+    return transpose(walk_columns(p))
 
 
 def walk_matrix_rank(p: PairSpec) -> int:
@@ -124,11 +121,8 @@ def numerator_coeffs(p: PairSpec) -> tuple:
 
 
 def numerator_poly(p: PairSpec) -> IntPoly:
-    """phi_S(X, t) as an integer polynomial (integer vectors only)."""
-    if not p.is_integer_vector:
-        raise ValueError("integer vector required; use numerator_coeffs")
-    coeffs = numerator_coeffs(p)
-    return IntPoly(int(c) for c in coeffs)
+    """phi_S(X, t) as an integer polynomial; ValueError if it is not one."""
+    return bilinear_numerator_poly(graph_adjugate(p.graph)[1], p.vector, p.vector)
 
 
 def pair_rational_function(p: PairSpec) -> RationalFunction:

@@ -38,11 +38,6 @@ class Graph:
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
 
-    def neighbors(self, u: int) -> list[int]:
-        return sorted(
-            b if a == u else a for a, b in self.edges if u in (a, b)
-        )
-
     def adjacency_sets(self) -> list[set]:
         adj = [set() for _ in range(self.v)]
         for a, b in self.edges:

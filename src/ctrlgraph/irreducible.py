@@ -28,19 +28,6 @@ def _gf_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _gf_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    a = a[:]
-    binv = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        c = a[-1] * binv % p
-        if c:
-            off = len(a) - len(b)
-            for i, x in enumerate(b):
-                a[off + i] = (a[off + i] - c * x) % p
-        a.pop()
-    return _gf_trim(a)
-
-
 def _gf_divmod(a: list[int], b: list[int], p: int):
     a = a[:]
     q = [0] * max(len(a) - len(b) + 1, 1)
@@ -54,6 +41,10 @@ def _gf_divmod(a: list[int], b: list[int], p: int):
                 a[off + i] = (a[off + i] - c * x) % p
         a.pop()
     return _gf_trim(q), _gf_trim(a)
+
+
+def _gf_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    return _gf_divmod(a, b, p)[1]
 
 
 def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:

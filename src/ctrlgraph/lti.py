@@ -13,40 +13,41 @@ from fractions import Fraction
 from typing import Sequence
 
 from .matrices import (
-    ExactMatrix,
     adjugate_samples,
     bilinear_numerator_fractions,
     clear_denominators,
     krylov_columns,
     mat_rank,
+    mat_vec,
     solve,
+    transpose,
 )
 from .polys import IntPoly, RationalFunction
 
 
 @dataclass(frozen=True)
 class DiscreteSystem:
-    a: ExactMatrix
+    a: tuple
     b: tuple
     c: tuple
     x0: tuple
 
     def __post_init__(self):
-        d = self.a.rows
-        if not self.a.is_square:
+        d = len(self.a)
+        if any(len(r) != d for r in self.a):
             raise ValueError("state matrix must be square")
         if len(self.b) != d or len(self.c) != d or len(self.x0) != d:
             raise ValueError("vector dimensions must match the state matrix")
 
     @property
     def dim(self) -> int:
-        return self.a.rows
+        return len(self.a)
 
     @classmethod
     def create(cls, a_rows, b, c, x0=None) -> "DiscreteSystem":
-        a = ExactMatrix.from_rows(a_rows)
+        a = tuple(map(tuple, a_rows))
         if x0 is None:
-            x0 = [0] * a.rows
+            x0 = [0] * len(a)
         return cls(a, tuple(b), tuple(c), tuple(x0))
 
 
@@ -56,7 +57,7 @@ def simulate(sys: DiscreteSystem, inputs: Sequence, steps: int) -> list[list]:
         raise ValueError("need at least `steps` input values")
     states = [list(sys.x0)]
     for n in range(steps):
-        x = sys.a.matvec(states[-1])
+        x = mat_vec(sys.a, states[-1])
         u = inputs[n]
         states.append([xi + u * bi for xi, bi in zip(x, sys.b)])
     return states
@@ -66,24 +67,24 @@ def outputs(sys: DiscreteSystem, states: Sequence[Sequence]) -> list:
     return [sum(ci * xi for ci, xi in zip(sys.c, x)) for x in states]
 
 
-def controllability_matrix(a: ExactMatrix, b: Sequence) -> ExactMatrix:
+def controllability_matrix(a: Sequence[Sequence], b: Sequence) -> tuple:
     """(b  Ab ... A^{d-1}b)."""
-    if len(b) != a.rows:
+    if len(b) != len(a):
         raise ValueError("dimension mismatch")
-    return ExactMatrix.from_rows(krylov_columns(a.row_lists(), b, a.rows)).transpose()
+    return transpose(krylov_columns(a, b, len(a)))
 
 
-def observability_matrix(a: ExactMatrix, c: Sequence) -> ExactMatrix:
+def observability_matrix(a: Sequence[Sequence], c: Sequence) -> tuple:
     """(c^T; c^T A; ...; c^T A^{d-1})."""
-    return controllability_matrix(a.transpose(), c).transpose()
+    return transpose(controllability_matrix(transpose(a), c))
 
 
-def is_controllable(a: ExactMatrix, b: Sequence) -> bool:
-    return mat_rank(controllability_matrix(a, b)) == a.rows
+def is_controllable(a: Sequence[Sequence], b: Sequence) -> bool:
+    return mat_rank(controllability_matrix(a, b)) == len(a)
 
 
-def is_observable(a: ExactMatrix, c: Sequence) -> bool:
-    return mat_rank(observability_matrix(a, c)) == a.rows
+def is_observable(a: Sequence[Sequence], c: Sequence) -> bool:
+    return mat_rank(observability_matrix(a, c)) == len(a)
 
 
 def transfer_function(sys: DiscreteSystem) -> RationalFunction:
@@ -92,7 +93,7 @@ def transfer_function(sys: DiscreteSystem) -> RationalFunction:
     Built by reversing the coefficients of the adjugate numerator and the
     characteristic polynomial: det(I - tA) = t^d phi(1/t).
     """
-    phi, bs = adjugate_samples(sys.a.row_lists())
+    phi, bs = adjugate_samples(sys.a)
     psi, scale = clear_denominators(bilinear_numerator_fractions(bs, sys.c, sys.b))
     phi = phi * scale
     # reverse both against degree d (psi has d coefficients, phi d + 1):
@@ -113,9 +114,8 @@ def generating_identity_check(sys: DiscreteSystem, inputs: Sequence, order: int)
         raise ValueError("need at least `order` input values")
     states = simulate(sys, inputs, order)
     # Neumann expansion: coefficient of t^n is A^n x0 + sum A^{n-1-k} u_k b
-    rows = sys.a.row_lists()
-    apow_x0 = krylov_columns(rows, sys.x0, order + 1)
-    apow_b = krylov_columns(rows, sys.b, order)
+    apow_x0 = krylov_columns(sys.a, sys.x0, order + 1)
+    apow_b = krylov_columns(sys.a, sys.b, order)
     for n in range(order + 1):
         term = [
             x + sum(inputs[k] * apow_b[n - 1 - k][i] for k in range(n))

@@ -1,5 +1,7 @@
-"""Dense exact matrices over the rationals.
+"""Exact matrix kernels over the rationals.
 
+A matrix is a sequence of rows, the one matrix format of the library; every
+matrix returned here is a tuple of row tuples, so results compare with ==.
 Entries are Python ints or Fractions (ints are kept as ints so the common
 all-integer case stays on the fast path).  Rank and determinants use
 fraction-free Bareiss elimination.  The characteristic polynomial and the
@@ -19,102 +21,25 @@ from .errors import InternalConsistencyError
 from .polys import IntPoly
 
 
-class ExactMatrix:
-    __slots__ = ("rows", "cols", "entries")
+def identity(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
-    def __init__(self, rows: int, cols: int, entries: Sequence):
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match shape")
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(entries)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "ExactMatrix":
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        flat = []
-        for r in rows:
-            if len(r) != nc:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(nr, nc, flat)
+def transpose(rows: Sequence[Sequence]) -> tuple:
+    return tuple(zip(*rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
+    if any(len(r) != len(b) for r in a):
+        raise ValueError("shape mismatch")
+    bt = transpose(b)
+    return tuple(tuple(sum(x * y for x, y in zip(r, c)) for c in bt) for r in a)
 
-    def at(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_lists(self) -> list[list]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            [self.at(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(a == b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(Fraction(e) for e in self.entries)))
-
-    def __repr__(self):
-        return f"ExactMatrix.from_rows({self.row_lists()!r})"
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)]
-        )
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        a = self.row_lists()
-        bt = other.transpose().row_lists()
-        flat = []
-        for r in a:
-            for c in bt:
-                flat.append(sum(x * y for x, y in zip(r, c)))
-        return ExactMatrix(self.rows, other.cols, flat)
-
-    def matvec(self, v: Sequence) -> list:
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return [
-            sum(self.at(i, j) * v[j] for j in range(self.cols))
-            for i in range(self.rows)
-        ]
+def mat_vec(rows: Sequence[Sequence], v: Sequence) -> list:
+    if any(len(r) != len(v) for r in rows):
+        raise ValueError("shape mismatch")
+    return [sum(x * y for x, y in zip(r, v)) for r in rows]
 
 
 def clear_denominators(values: Sequence) -> tuple[list[int], int]:
@@ -136,7 +61,7 @@ def krylov_columns(rows: Sequence[Sequence], z: Sequence, count: int) -> list[li
     return cols
 
 
-def _bareiss(rows: list[list[int]], ncols: int) -> tuple[int, int, int]:
+def _bareiss(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, int, int]:
     """Fraction-free Bareiss elimination of a copy of rows.
 
     Returns (rank, sign of the row swaps, last pivot); for a square matrix
@@ -173,37 +98,34 @@ def _bareiss(rows: list[list[int]], ncols: int) -> tuple[int, int, int]:
     return rank, sign, prev
 
 
-def int_rank(rows: list[list[int]], ncols: int | None = None) -> int:
+def int_rank(rows: Sequence[Sequence[int]], ncols: int | None = None) -> int:
     """Rank of an integer matrix by fraction-free Bareiss elimination."""
     if not rows:
         return 0
     return _bareiss(rows, len(rows[0]) if ncols is None else ncols)[0]
 
 
-def int_det(rows: list[list[int]]) -> int:
+def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix (Bareiss)."""
     n = len(rows)
     rank, sign, last = _bareiss(rows, n)
     return sign * last if rank == n else 0
 
 
-def mat_rank(m: ExactMatrix) -> int:
+def mat_rank(m: Sequence[Sequence]) -> int:
     """Exact rank over the rationals (rows scaled to integers first)."""
-    return int_rank([clear_denominators(m.row(i))[0] for i in range(m.rows)], m.cols)
+    return int_rank([clear_denominators(r)[0] for r in m])
 
 
-def _gauss_jordan(m: ExactMatrix, rhs: Sequence[Sequence]) -> list[list[Fraction]]:
+def _gauss_jordan(m: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list]:
     """X with m X = R, for the rows of R given as rhs (k entries each);
     raises ValueError on a singular matrix."""
-    if not m.is_square:
+    n = len(m)
+    if any(len(r) != n for r in m):
         raise ValueError("square matrix required")
-    n = m.rows
     if len(rhs) != n:
         raise ValueError("shape mismatch")
-    aug = [
-        [Fraction(e) for e in m.row(i)] + [Fraction(x) for x in rhs[i]]
-        for i in range(n)
-    ]
+    aug = [[Fraction(e) for e in r] + [Fraction(x) for x in b] for r, b in zip(m, rhs)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
@@ -221,14 +143,13 @@ def _gauss_jordan(m: ExactMatrix, rhs: Sequence[Sequence]) -> list[list[Fraction
     return [r[n:] for r in aug]
 
 
-def solve(m: ExactMatrix, b: Sequence) -> list[Fraction]:
+def solve(m: Sequence[Sequence], b: Sequence) -> list[Fraction]:
     """Solve m x = b exactly; raises ValueError on a singular matrix."""
     return [r[0] for r in _gauss_jordan(m, [[e] for e in b])]
 
 
-def inverse(m: ExactMatrix) -> ExactMatrix:
-    rows = _gauss_jordan(m, ExactMatrix.identity(m.rows).row_lists())
-    return ExactMatrix(m.rows, m.rows, [x for r in rows for x in r])
+def inverse(m: Sequence[Sequence]) -> tuple:
+    return tuple(map(tuple, _gauss_jordan(m, identity(len(m)))))
 
 
 def adjugate_samples(rows: Sequence[Sequence]) -> tuple:

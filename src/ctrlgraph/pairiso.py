@@ -10,8 +10,6 @@ order from the lexicographic sort of walk-matrix rows.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .control import (
     PairSpec,
     graph_char_poly,
@@ -23,7 +21,7 @@ from .control import (
 )
 from .errors import InternalConsistencyError
 from .graphs import Graph, adjacency_rows, complement
-from .matrices import ExactMatrix, int_rank, inverse
+from .matrices import identity, int_rank, inverse, mat_mul, mat_vec, transpose
 
 
 def pairs_isomorphic(p1: PairSpec, p2: PairSpec) -> bool:
@@ -35,25 +33,21 @@ def pairs_isomorphic(p1: PairSpec, p2: PairSpec) -> bool:
     return numerator_coeffs(p1) == numerator_coeffs(p2)
 
 
-def q_matrix(p1: PairSpec, p2: PairSpec) -> ExactMatrix:
+def q_matrix(p1: PairSpec, p2: PairSpec) -> tuple:
     """The rational orthogonal isomorphism W_2 W_1^{-1} of two controllable
     isomorphic pairs; its defining identities are re-verified exactly."""
     if not (is_controllable_rank(p1) and is_controllable_rank(p2)):
         raise ValueError("q_matrix requires controllable pairs")
     if not pairs_isomorphic(p1, p2):
         raise ValueError("q_matrix requires isomorphic pairs")
-    w1 = walk_matrix(p1)
-    w2 = walk_matrix(p2)
-    q = w2 @ inverse(w1)
-    v = p1.graph.v
-    ident = ExactMatrix.identity(v)
-    if q.transpose() @ q != ident:
+    q = mat_mul(walk_matrix(p2), inverse(walk_matrix(p1)))
+    qt = transpose(q)
+    if mat_mul(qt, q) != identity(p1.graph.v):
         raise InternalConsistencyError("Q is not orthogonal")
-    a1 = ExactMatrix.from_rows(adjacency_rows(p1.graph))
-    a2 = ExactMatrix.from_rows(adjacency_rows(p2.graph))
-    if q @ a1 @ q.transpose() != a2:
+    a2 = tuple(map(tuple, adjacency_rows(p2.graph)))
+    if mat_mul(mat_mul(q, adjacency_rows(p1.graph)), qt) != a2:
         raise InternalConsistencyError("Q does not conjugate A to B")
-    if q.matvec(list(p1.vector)) != [Fraction(x) for x in p2.vector]:
+    if mat_vec(q, p1.vector) != list(p2.vector):
         raise InternalConsistencyError("Q does not map y to z")
     return q
 
@@ -63,12 +57,12 @@ def q_involution_check(g: Graph, s, t) -> bool:
     p1 = PairSpec.from_subset(g, s)
     p2 = PairSpec.from_subset(g, t)
     q = q_matrix(p1, p2)
-    a = ExactMatrix.from_rows(adjacency_rows(g))
-    if q @ a != a @ q:
+    a = adjacency_rows(g)
+    if mat_mul(q, a) != mat_mul(a, q):
         raise InternalConsistencyError("Q does not commute with A")
-    if q @ q != ExactMatrix.identity(g.v):
+    if mat_mul(q, q) != identity(g.v):
         raise InternalConsistencyError("Q is not an involution")
-    if q != q.transpose():
+    if q != transpose(q):
         raise InternalConsistencyError("Q is not symmetric")
     return True
 

@@ -86,9 +86,6 @@ class IntPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         return IntPoly(self[k] - other[k] for k in range(n))
 
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(-a for a in self.coeffs)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPoly(other * a for a in self.coeffs)

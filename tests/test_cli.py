@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 
 from ctrlgraph import cli
+from ctrlgraph.errors import InternalConsistencyError
 from ctrlgraph.graphs import complete, emit_graph6, path
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
@@ -108,6 +109,18 @@ def test_census_lenient_exit(tmp_path):
     assert json.loads(text)["summary"]["error_lines"] == 1
 
 
+def test_census_consistency_failure_names_line(tmp_path, monkeypatch, capsys):
+    def disagree(p):
+        raise InternalConsistencyError(f"characterizations disagree for {p}")
+
+    monkeypatch.setattr(cli.control, "full_report", disagree)
+    g6file = tmp_path / "in.g6"
+    g6file.write_text("A_\nBw\n")
+    code, _ = run(["census", "--input", str(g6file), "--workers", "1"], tmp_path)
+    assert code == cli.EXIT_INCONSISTENT
+    assert "line 1 (A_): characterizations disagree" in capsys.readouterr().err
+
+
 def test_isocheck_isomorphic_pair_emits_q(tmp_path):
     code, text = run(["isocheck", P3, "0", P3, "2"], tmp_path)
     assert code == cli.EXIT_OK
@@ -190,6 +203,17 @@ def test_lti_non_integer_state_matrix(tmp_path):
     doc = json.loads(text)
     assert doc["controllable"] is True and doc["observable"] is True
     assert "error" in doc["transfer_function"]
+
+
+def test_lti_rejects_json_booleans(tmp_path):
+    # true/false are not numbers, although Fraction(True) == 1
+    spec = tmp_path / "sys.json"
+    spec.write_text(json.dumps({"a": [[True, 0], [0, False]], "b": [1, 0], "c": [1, 0]}))
+    code, _ = run(["lti", str(spec)], tmp_path)
+    assert code == cli.EXIT_INPUT
+    spec.write_text(json.dumps({"a": [[1.0, 0], [0, 0]], "b": [1, 0], "c": [1, 0]}))
+    code, _ = run(["lti", str(spec)], tmp_path)
+    assert code == cli.EXIT_INPUT
 
 
 def test_lti_bad_spec(tmp_path):
