@@ -99,6 +99,15 @@ def analyze_line(task) -> CensusRow:
             row.controllable_vertices = sum(
                 1 for u in range(g.v) if control.is_vertex_controllable(g, u)
             )
+        # An irreducible phi has simple, Galois-conjugate eigenvalues: an
+        # eigenvector orthogonal to a nonzero rational z would make all of
+        # them so, hence every nonempty S is controllable.
+        if row.irreducible_charpoly and (
+            not row.controllable_full or row.controllable_vertices not in (None, g.v)
+        ):
+            raise InternalConsistencyError(
+                "irreducible characteristic polynomial but a pair is not controllable"
+            )
         if "subsets" in modes:
             if g.v > SUBSET_GUARD:
                 row.error = f"subset enumeration guarded at v <= {SUBSET_GUARD}"

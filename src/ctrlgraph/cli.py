@@ -82,6 +82,13 @@ def _parse_subset_arg(arg: str, v: int):
     return [tuple(sorted(set(members)))]
 
 
+def _one_subset(arg: str, v: int):
+    subsets = _parse_subset_arg(arg, v)
+    if len(subsets) != 1:
+        raise CliError(f"selector {arg!r} gives {len(subsets)} subsets; one is required")
+    return subsets[0]
+
+
 def cmd_analyze(args) -> int:
     try:
         g = parse_graph6(args.graph6)
@@ -137,8 +144,8 @@ def cmd_isocheck(args) -> int:
         raise CliError(str(exc))
     if g1.v != g2.v:
         raise CliError("graphs must have the same vertex count")
-    s1 = _parse_subset_arg(args.subset_a, g1.v)[0]
-    s2 = _parse_subset_arg(args.subset_b, g2.v)[0]
+    s1 = _one_subset(args.subset_a, g1.v)
+    s2 = _one_subset(args.subset_b, g2.v)
     p1 = control.PairSpec.from_subset(g1, s1)
     p2 = control.PairSpec.from_subset(g2, s2)
     route_ratfun = pairiso.pairs_isomorphic(p1, p2)

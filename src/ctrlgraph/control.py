@@ -25,6 +25,7 @@ from .matrices import (
     clear_denominators,
     int_rank,
     krylov_columns,
+    mat_rank,
     transpose,
 )
 from .polys import IntPoly, RationalFunction, poly_gcd
@@ -85,9 +86,8 @@ def walk_matrix(p: PairSpec) -> tuple:
 
 
 def walk_matrix_rank(p: PairSpec) -> int:
-    """Rank of W; scaling a column to integers does not change it."""
-    cols = [clear_denominators(col)[0] for col in walk_columns(p)]
-    return int_rank(cols, p.graph.v)
+    """Rank of W, computed on its columns (rank W = rank W^T)."""
+    return mat_rank(walk_columns(p))
 
 
 def is_controllable_rank(p: PairSpec) -> bool:
@@ -138,7 +138,7 @@ def is_controllable_poles(p: PairSpec) -> bool:
     over its distinct eigenvalues: every pole is simple, and v distinct
     poles means gcd(phi_S, phi) = 1 (no squarefree test of phi needed).
     """
-    num = pair_rational_function(p).num
+    num = IntPoly(clear_denominators(numerator_coeffs(p))[0])
     return poly_gcd(num, graph_char_poly(p.graph)).is_constant
 
 
@@ -227,5 +227,5 @@ def cone_transfer_check(g: Graph, members: Iterable[int]) -> bool:
     return apex
 
 
-def is_charpoly_irreducible(g: Graph, bound: int = irreducible.IRREDUCIBILITY_BOUND) -> bool:
-    return irreducible.is_irreducible(graph_char_poly(g), bound)
+def is_charpoly_irreducible(g: Graph) -> bool:
+    return irreducible.is_irreducible(graph_char_poly(g))

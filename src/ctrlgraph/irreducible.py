@@ -1,201 +1,187 @@
-"""Bounded irreducibility testing for monic integer polynomials.
+"""Exact irreducibility testing for monic integer polynomials.
 
-Not a general factorization engine: the decision method is the classic
-evaluation/divisor-combination search (degree-limited, monic factors), with
-a factorization-degree screen modulo small primes bolted on front.  The
-screen is sound: an integer factor of degree d forces a subset of the mod-p
-factor degrees to sum to d for every prime p not dividing the discriminant
-structure, so degrees ruled out mod p never need the divisor search at all.
+One Berlekamp-Zassenhaus pass (von zur Gathen & Gerhard, *Modern Computer
+Algebra*, ch. 14-15), with no degree cap.  For the least prime p > deg(f)^2
+with f mod p squarefree, f is factored over GF(p): distinct-degree
+factorization, each block split by Cantor-Zassenhaus on t + c.  One factor
+means f is irreducible.  Otherwise every factor is Hensel-lifted to a
+modulus m = p^k above twice Mignotte's bound on the coefficients of a
+factor of degree at most deg(f)/2, and products of lifted factors, by
+increasing number of factors, are tried as integer divisors of f: a
+factor of f over the integers is the symmetric lift of one of them.
+
+The helpers take coefficient lists, low degree first, and return them
+reduced modulo the modulus they are given.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import InternalConsistencyError
-from .polys import IntPoly, interpolate_fractions, poly_squarefree
-
-IRREDUCIBILITY_BOUND = 12
-
-_SCREEN_PRIMES = (2, 3, 5, 7, 11, 13)
+from .polys import IntPoly, poly_squarefree
 
 
-# -- GF(p) polynomial helpers (coefficient lists, low degree first) --------
-
-def _gf_trim(a: list[int]) -> list[int]:
+def _trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
 
 
-def _gf_divmod(a: list[int], b: list[int], p: int):
-    a = a[:]
-    q = [0] * max(len(a) - len(b) + 1, 1)
-    binv = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        c = a[-1] * binv % p
-        off = len(a) - len(b)
-        q[off] = c
-        if c:
-            for i, x in enumerate(b):
-                a[off + i] = (a[off + i] - c * x) % p
-        a.pop()
-    return _gf_trim(q), _gf_trim(a)
-
-
-def _gf_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    return _gf_divmod(a, b, p)[1]
-
-
-def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = a[:], b[:]
-    while b:
-        a, b = b, _gf_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [x * inv % p for x in a]
-    return a
-
-
-def _gf_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
+def _mul(a: list[int], b: list[int], m: int) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _gf_mod(out, f, p)
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _trim([x % m for x in out])
 
 
-def _gf_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+def _product(polys, m: int) -> list[int]:
+    out = [1]
+    for g in polys:
+        out = _mul(out, g, m)
+    return out
+
+
+def _divmod(a: list[int], b: list[int], m: int):
+    """Quotient and remainder of a by b modulo m; lc(b) must be a unit mod m."""
+    a = list(a)
+    binv = pow(b[-1], -1, m)
+    nb = len(b) - 1
+    q = [0] * (len(a) - nb)
+    for off in range(len(a) - 1 - nb, -1, -1):
+        c = a[off + nb] * binv % m
+        if c:
+            q[off] = c
+            for i in range(nb):
+                a[off + i] -= c * b[i]
+    return _trim(q), _trim([x % m for x in a[:nb]])
+
+
+def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over GF(p)."""
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """a^e mod f over GF(p), by left-to-right square and multiply."""
+    base = _divmod(a, f, p)[1]
     result = [1]
-    base = _gf_mod(a[:], f, p)
-    while e:
-        if e & 1:
-            result = _gf_mulmod(result, base, f, p)
-        base = _gf_mulmod(base, base, f, p)
-        e >>= 1
+    for bit in bin(e)[2:]:
+        result = _divmod(_mul(result, result, p), f, p)[1]
+        if bit == "1":
+            result = _divmod(_mul(result, base, p), f, p)[1]
     return result
 
 
-def _gf_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    return _gf_trim(out)
+def _inverse(a: list[int], g: list[int], p: int) -> list[int]:
+    """a^{-1} mod g over GF(p), for a coprime to g (extended Euclid)."""
+    r0, r1, s0, s1 = g, _divmod(a, g, p)[1], [], [1]
+    while len(r1) > 1:
+        q, r = _divmod(r0, r1, p)
+        qs = _mul(q, s1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _trim(
+            [(x - y) % p for x, y in itertools.zip_longest(s0, qs, fillvalue=0)]
+        )
+    inv = pow(r1[0], -1, p)
+    return [x * inv % p for x in s1]
 
 
-def _ddf_degrees(f: list[int], p: int) -> list[int]:
-    """Degrees (with multiplicity) of the irreducible factors of a monic
-    squarefree polynomial over GF(p), by distinct-degree factorization."""
-    fstar = f[:]
-    degrees: list[int] = []
-    h = _gf_mod([0, 1], fstar, p)
+def _split(g: list[int], k: int, p: int) -> list[list[int]]:
+    """The factors of g, a product of distinct monic irreducibles of degree
+    k over GF(p), by Cantor-Zassenhaus on t + c.  Two such factors u, v are
+    split by some c unless p <= (2k - 1)^2 (Weil's bound on the character
+    sum of u v), so for p > deg^2 finding no c is a bug."""
+    if len(g) - 1 == k:
+        return [g]
+    e = (p**k - 1) // 2
+    for c in range(p):
+        w = _powmod([c, 1], e, g, p) or [0]
+        w[0] = (w[0] - 1) % p
+        u = _gcd(g, _trim(w), p)
+        if 1 < len(u) < len(g):
+            return _split(u, k, p) + _split(_divmod(g, u, p)[0], k, p)
+    raise InternalConsistencyError(f"no t + c splits a degree-{k} block mod {p}")
+
+
+def _factor_mod(f: list[int], p: int) -> list[list[int]]:
+    """The monic irreducible factors over GF(p) of a monic squarefree f:
+    distinct-degree factorization, each block split by _split."""
+    factors = []
+    h = [0, 1]
     k = 0
-    while len(fstar) - 1 >= 2 * (k + 1):
+    while len(f) - 1 >= 2 * (k + 1):
         k += 1
-        h = _gf_powmod(h, p, fstar, p)
-        g = _gf_gcd(fstar, _gf_sub(h, [0, 1], p), p)
+        h = _powmod(h, p, f, p)
+        x = h + [0] * (2 - len(h))
+        x[1] = (x[1] - 1) % p
+        g = _gcd(f, _trim(x), p)
         if len(g) > 1:
-            degrees.extend([k] * ((len(g) - 1) // k))
-            fstar, rem = _gf_divmod(fstar, g, p)
+            factors += _split(g, k, p)
+            f, rem = _divmod(f, g, p)
             if rem:
                 raise InternalConsistencyError(f"DDF factor does not divide mod {p}")
-            h = _gf_mod(h, fstar, p)
-    if len(fstar) > 1:
-        degrees.append(len(fstar) - 1)
-    return degrees
+            h = _divmod(h, f, p)[1]
+    if len(f) > 1:
+        factors.append(f)
+    return factors
 
 
-def _subset_sums(degrees: list[int], limit: int) -> set[int]:
-    sums = {0}
-    for d in degrees:
-        sums |= {s + d for s in sums if s + d <= limit}
-    return sums
+def _hensel_lift(f: list[int], g: list[int], p: int, m: int) -> list[int]:
+    """The monic factor of f modulo m (a power of p) congruent to g modulo
+    p, where g is a monic irreducible factor of f mod p coprime to f/g.
+
+    Linear lifting: with f = g H + r modulo q p and r = 0 mod q, the lift
+    is g + q (r/q) H^{-1} mod g, where H = f/g mod p stays fixed."""
+    inv = _inverse(_divmod(f, g, p)[0], g, p)
+    q = p
+    while q < m:
+        r = _divmod(f, g, q * p)[1]
+        dg = _divmod(_mul([c // q for c in r], inv, p), g, p)[1]
+        g = [a + q * b for a, b in itertools.zip_longest(g, dg, fillvalue=0)]
+        q *= p
+    return g
 
 
-def _modp_feasible_degrees(f: IntPoly, limit: int) -> set[int]:
-    """Factor degrees 1..limit not excluded by any usable screen prime."""
-    feasible = set(range(1, limit + 1))
-    for p in _SCREEN_PRIMES:
-        if f.leading() % p == 0:
-            continue
-        fp = [c % p for c in f.coeffs]
-        dfp = [c % p for c in f.derivative().coeffs]
-        _gf_trim(dfp)
-        if not dfp or len(_gf_gcd(fp[:], dfp, p)) > 1:
-            continue  # f mod p not squarefree: pattern unusable
-        pattern = _ddf_degrees(fp, p)
-        feasible &= _subset_sums(pattern, limit)
-        if not feasible:
-            break
-    feasible.discard(0)
-    return feasible
-
-
-def _signed_divisors(m: int) -> list[int]:
-    m = abs(m)
-    divs = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            divs.append(d)
-            if d != m // d:
-                divs.append(m // d)
-        d += 1
-    divs.sort()
-    return [s * d for d in divs for s in (1, -1)]
-
-
-def _kronecker_has_factor(f: IntPoly, d: int) -> bool:
-    """Search for a monic integer factor of degree d by divisor combinations.
-
-    A monic degree-d polynomial is pinned down by its values at d points,
-    and each value must divide f at that point.
-    """
-    points = []
-    for c in itertools.chain.from_iterable((k, -k) for k in range(f.degree + 2)):
-        if c in points:
-            continue
-        if f.evaluate(c) != 0:
-            points.append(c)
-        if len(points) == d:
-            break
-    divisor_lists = [_signed_divisors(f.evaluate(c)) for c in points]
-    for combo in itertools.product(*divisor_lists):
-        # candidate g with g(c_i) = combo[i]; g - t^d is pinned by d values
-        lower_vals = [val - c**d for val, c in zip(combo, points)]
-        coeffs = interpolate_fractions(points, lower_vals)
-        if any(x.denominator != 1 for x in coeffs):
-            continue
-        g = IntPoly([int(x) for x in coeffs] + [1])
-        if g.divides(f):
-            return True
-    return False
-
-
-def is_irreducible(f: IntPoly, bound: int = IRREDUCIBILITY_BOUND) -> bool:
+def is_irreducible(f: IntPoly) -> bool:
     """Irreducibility over the rationals for a monic integer polynomial."""
     if f.is_zero or f.is_constant:
         return False
     if f.leading() != 1:
         raise ValueError("irreducibility test requires a monic polynomial")
-    if f.degree > bound:
-        raise ValueError(f"irreducibility test capped at degree {bound}")
     if f.degree == 1:
         return True
-    if not poly_squarefree(f):
+    if f[0] == 0 or not poly_squarefree(f):
         return False
-    # integer roots (monic, so all rational roots are integers)
-    if f[0] == 0:
-        return False
-    if any(f.evaluate(r) == 0 for r in _signed_divisors(f[0])):
-        return False
-    limit = f.degree // 2
-    feasible = sorted(_modp_feasible_degrees(f, limit))
-    for d in feasible:
-        if d == 1:
-            continue  # integer roots already excluded
-        if _kronecker_has_factor(f, d):
-            return False
+    n = f.degree
+    coeffs = list(f.coeffs)
+    p = n * n + 1
+    while not (
+        all(p % d for d in range(2, math.isqrt(p) + 1))
+        and len(_gcd(coeffs, f.derivative().coeffs, p)) == 1
+    ):
+        p += 1
+    factors = _factor_mod([c % p for c in coeffs], p)
+    if len(factors) == 1:
+        return True
+    h = n // 2
+    bound = math.comb(h, h // 2) * (math.isqrt(sum(c * c for c in coeffs)) + 1)
+    m = p
+    while m <= 2 * bound:
+        m *= p
+    lifted = [_hensel_lift(coeffs, g, p, m) for g in factors]
+    if _product(lifted, m) != [c % m for c in coeffs]:
+        raise InternalConsistencyError(f"Hensel lift of {f} fails mod {m}")
+    for size in range(1, len(lifted)):
+        for combo in itertools.combinations(lifted, size):
+            if sum(len(g) - 1 for g in combo) <= h:
+                g = _product(combo, m)
+                if IntPoly(c - m if 2 * c > m else c for c in g).divides(f):
+                    return False
     return True

@@ -9,7 +9,6 @@ not blow up the way naive rational elimination would.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -134,42 +133,38 @@ class IntPoly:
             g = -g
         return IntPoly(a // g for a in self.coeffs)
 
-    def divmod_exact(self, d: "IntPoly"):
-        """Quotient and remainder over the rationals, returned exactly.
-
-        Both are computed with Fraction coefficients; use divides() when
-        you only care whether the division is exact over the integers.
-        """
+    def _quotient(self, d: "IntPoly") -> "IntPoly | None":
+        """self / d by integer long division: None unless the remainder is
+        zero and every quotient coefficient is an integer."""
         if d.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(a) for a in self.coeffs]
-        q = [Fraction(0)] * max(len(self.coeffs) - len(d.coeffs) + 1, 1)
-        dl = d.leading()
-        for k in range(len(rem) - len(d.coeffs), -1, -1):
-            c = rem[k + d.degree] / dl
+        rem = list(self.coeffs)
+        lc, n = d.leading(), d.degree
+        q = [0] * (len(rem) - n)
+        for k in range(len(rem) - 1 - n, -1, -1):
+            c, r = divmod(rem[k + n], lc)
+            if r:
+                return None
             if c:
                 q[k] = c
                 for j, b in enumerate(d.coeffs):
                     rem[k + j] -= c * b
-        return q, rem
+        return None if any(rem) else IntPoly(q)
 
     def divides(self, other: "IntPoly") -> bool:
-        """True iff self divides other exactly over the rationals."""
+        """True iff self divides other exactly over the rationals, that is
+        (Gauss's lemma) iff its primitive part divides other over the
+        integers."""
         if self.is_zero:
             return other.is_zero
-        if other.is_zero:
-            return True
-        if other.degree < self.degree:
-            return False
-        _, rem = other.divmod_exact(self)
-        return all(c == 0 for c in rem)
+        return other._quotient(self.primitive()) is not None
 
     def exact_div(self, d: "IntPoly") -> "IntPoly":
         """Exact quotient with integer coefficients; raises if not exact."""
-        q, rem = self.divmod_exact(d)
-        if any(c != 0 for c in rem) or any(c.denominator != 1 for c in q):
+        q = self._quotient(d)
+        if q is None:
             raise ValueError(f"{d} does not divide {self} over the integers")
-        return IntPoly(int(c) for c in q)
+        return q
 
 
 def poly_from_roots(roots: Sequence[int]) -> IntPoly:
@@ -240,6 +235,8 @@ def distinct_root_count(f: IntPoly) -> int:
 def interpolate_fractions(points: Sequence[int], values: Sequence) -> tuple:
     """Coefficients (low first, Fractions) of the unique polynomial of
     degree < len(points) through the given (point, value) data."""
+    from fractions import Fraction
+
     if len(points) != len(values):
         raise ValueError("points/values length mismatch")
     n = len(points)

@@ -70,3 +70,17 @@ def mat_power_vec(rows, vec, k):
     for _ in range(k):
         v = [sum(r[j] * v[j] for j in range(len(v))) for r in rows]
     return v
+
+
+def divmod_fractions(a, d):
+    """Quotient and remainder of the coefficient lists a by d (low degree
+    first, d with a nonzero leading entry) by plain Fraction long division."""
+    rem = [Fraction(x) for x in a]
+    q = [Fraction(0)] * max(len(a) - len(d) + 1, 1)
+    for k in range(len(rem) - len(d), -1, -1):
+        c = rem[k + len(d) - 1] / d[-1]
+        if c:
+            q[k] = c
+            for j, b in enumerate(d):
+                rem[k + j] -= c * b
+    return q, rem

@@ -3,8 +3,10 @@ import pathlib
 
 import jsonschema
 import pytest
+import sympy
 
 from ctrlgraph import cli
+from ctrlgraph.control import graph_char_poly
 from ctrlgraph.errors import InternalConsistencyError
 from ctrlgraph.graphs import complete, emit_graph6, path
 
@@ -121,6 +123,35 @@ def test_census_consistency_failure_names_line(tmp_path, monkeypatch, capsys):
     assert "line 1 (A_): characterizations disagree" in capsys.readouterr().err
 
 
+def test_census_past_twelve_vertices(tmp_path):
+    # the path on 13 vertices: the irreducibility test has no degree cap
+    g6file = tmp_path / "in.g6"
+    g6file.write_text("LhCGGC@?G?_@?@\n")
+    code, text = run(
+        ["census", "--input", str(g6file), "--format", "csv",
+         "--summary-out", str(tmp_path / "sum.json")],
+        tmp_path, "out.csv",
+    )
+    assert code == cli.EXIT_OK
+    header, line = text.splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert row["n"] == "13" and row["error"] == ""
+    t = sympy.Symbol("t")
+    phi = graph_char_poly(path(13))
+    expected = sympy.Poly(sum(c * t**k for k, c in enumerate(phi.coeffs)), t).is_irreducible
+    assert row["irreducible_charpoly"] == str(expected)
+
+
+def test_census_irreducible_charpoly_forces_controllable(tmp_path, monkeypatch, capsys):
+    # K2 is not controllable with S = V, so an irreducible phi there is a bug
+    monkeypatch.setattr(cli.control, "is_charpoly_irreducible", lambda g: True)
+    g6file = tmp_path / "in.g6"
+    g6file.write_text("A_\n")
+    code, _ = run(["census", "--input", str(g6file), "--workers", "1"], tmp_path)
+    assert code == cli.EXIT_INCONSISTENT
+    assert "line 1 (A_): irreducible characteristic polynomial" in capsys.readouterr().err
+
+
 def test_isocheck_isomorphic_pair_emits_q(tmp_path):
     code, text = run(["isocheck", P3, "0", P3, "2"], tmp_path)
     assert code == cli.EXIT_OK
@@ -142,6 +173,13 @@ def test_isocheck_non_isomorphic(tmp_path):
 def test_isocheck_size_mismatch(tmp_path):
     code, _ = run(["isocheck", P3, "0", P5, "0"], tmp_path)
     assert code == cli.EXIT_INPUT
+
+
+def test_isocheck_refuses_multi_subset_selectors(tmp_path, capsys):
+    for selector in ("vertices", "all"):
+        code, text = run(["isocheck", "Bg", "0", "Bg", selector], tmp_path)
+        assert code == cli.EXIT_INPUT and text == ""
+        assert f"selector {selector!r} gives" in capsys.readouterr().err
 
 
 def test_lti_k2_transfer(tmp_path):

@@ -15,6 +15,8 @@ from ctrlgraph.polys import (
     squarefree_part,
 )
 
+from oracles import divmod_fractions
+
 T3_2T = IntPoly([0, -2, 0, 1])  # t^3 - 2t
 T2_1 = IntPoly([-1, 0, 1])  # t^2 - 1
 
@@ -153,3 +155,25 @@ def test_exact_div():
     assert f.exact_div(T2_1) == T3_2T
     with pytest.raises(ValueError):
         T3_2T.exact_div(IntPoly([1, 1]))
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(-6, 6), max_size=7),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(lambda c: c[-1]),
+    st.booleans(),
+)
+def test_integer_division_matches_fraction_oracle(a, d, planted):
+    """exact_div and divides against Fraction long division, on quotients
+    that are sometimes planted multiples of d."""
+    f, g = IntPoly(a), IntPoly(d)
+    if planted:
+        f = f * g
+    q, rem = divmod_fractions(f.coeffs, d)
+    exact = not any(rem)
+    assert g.divides(f) == exact
+    if exact and all(c.denominator == 1 for c in q):
+        assert f.exact_div(g) == IntPoly(int(c) for c in q)
+    else:
+        with pytest.raises(ValueError):
+            f.exact_div(g)
