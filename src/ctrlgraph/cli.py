@@ -108,6 +108,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_census(args) -> int:
+    if args.workers < 1:
+        raise CliError(f"--workers must be at least 1, got {args.workers}")
     if args.input:
         with open(args.input) as fh:
             lines = fh.readlines()
@@ -173,7 +175,10 @@ def cmd_isocheck(args) -> int:
 
 def _parse_rational(x) -> Fraction:
     if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise CliError(f"zero denominator in {x!r}")
     raise CliError(f"expected an integer or 'p/q' string, got {x!r}")
 
 

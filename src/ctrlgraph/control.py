@@ -11,7 +11,6 @@ is a theorem, so disagreement means a bug here, never odd input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -21,14 +20,11 @@ from .graphs import Graph, adjacency_rows, check_subset, cone, covering_radius
 from .matrices import (
     adjugate_samples,
     bilinear_numerator_fractions,
-    bilinear_numerator_poly,
-    clear_denominators,
     int_rank,
     krylov_columns,
-    mat_rank,
     transpose,
 )
-from .polys import IntPoly, RationalFunction, poly_gcd
+from .polys import IntPoly, poly_gcd
 
 ALGEBRA_CHECK_BOUND = 7
 
@@ -38,7 +34,9 @@ ADJUGATE_CACHE_SIZE = 8
 
 @dataclass(frozen=True)
 class PairSpec:
-    """A graph plus a rational vector; the subset is kept when known."""
+    """A graph plus an integer vector z; the subset is kept when known.
+    Scaling z changes no verdict (W(cz) = c W(z), phi_{cz} = c^2 phi_z),
+    so a rational z is passed as an integer multiple of itself."""
 
     graph: Graph
     vector: tuple
@@ -54,11 +52,12 @@ class PairSpec:
     def from_vector(cls, g: Graph, vec: Sequence) -> "PairSpec":
         if len(vec) != g.v:
             raise ValueError("vector length must equal vertex count")
-        entries = tuple(Fraction(x) for x in vec)
+        entries = tuple(int(x) for x in vec)
+        if entries != tuple(vec):
+            raise ValueError("integer vector required")
         subset = None
         if all(x in (0, 1) for x in entries):
-            subset = tuple(u for u, x in enumerate(entries) if x == 1)
-            entries = tuple(int(x) for x in entries)
+            subset = tuple(u for u, x in enumerate(entries) if x)
         return cls(g, entries, subset)
 
 
@@ -87,7 +86,7 @@ def walk_matrix(p: PairSpec) -> tuple:
 
 def walk_matrix_rank(p: PairSpec) -> int:
     """Rank of W, computed on its columns (rank W = rank W^T)."""
-    return mat_rank(walk_columns(p))
+    return int_rank(walk_columns(p))
 
 
 def is_controllable_rank(p: PairSpec) -> bool:
@@ -115,20 +114,14 @@ def vertex_deleted_char_polys(g: Graph) -> tuple[IntPoly, ...]:
 
 
 def numerator_coeffs(p: PairSpec) -> tuple:
-    """Fraction coefficients of phi_S: the numerator of z^T (tI-A)^{-1} z
-    over phi(X, t), exact for any rational vector."""
+    """Integer coefficients of phi_S: the numerator of z^T (tI-A)^{-1} z
+    over phi(X, t)."""
     return bilinear_numerator_fractions(graph_adjugate(p.graph)[1], p.vector, p.vector)
 
 
 def numerator_poly(p: PairSpec) -> IntPoly:
-    """phi_S(X, t) as an integer polynomial; ValueError if it is not one."""
-    return bilinear_numerator_poly(graph_adjugate(p.graph)[1], p.vector, p.vector)
-
-
-def pair_rational_function(p: PairSpec) -> RationalFunction:
-    """z^T (tI-A)^{-1} z as an exact ratio of integer polynomials."""
-    num, den = clear_denominators(numerator_coeffs(p))
-    return RationalFunction(IntPoly(num), graph_char_poly(p.graph) * den)
+    """phi_S(X, t) as an integer polynomial."""
+    return IntPoly(numerator_coeffs(p))
 
 
 def is_controllable_poles(p: PairSpec) -> bool:
@@ -138,8 +131,7 @@ def is_controllable_poles(p: PairSpec) -> bool:
     over its distinct eigenvalues: every pole is simple, and v distinct
     poles means gcd(phi_S, phi) = 1 (no squarefree test of phi needed).
     """
-    num = IntPoly(clear_denominators(numerator_coeffs(p))[0])
-    return poly_gcd(num, graph_char_poly(p.graph)).is_constant
+    return poly_gcd(numerator_poly(p), graph_char_poly(p.graph)).is_constant
 
 
 def is_vertex_controllable(g: Graph, u: int) -> bool:
@@ -150,21 +142,19 @@ def is_vertex_controllable(g: Graph, u: int) -> bool:
     return poly_gcd(deleted, graph_char_poly(g)).is_constant
 
 
-def algebra_basis_check(p: PairSpec, bound: int = ALGEBRA_CHECK_BOUND) -> bool:
+def algebra_basis_check(p: PairSpec) -> bool:
     """Do the v^2 matrices A^i z z^T A^j span all v x v matrices?
 
     Sized v^4, hence the cap; must agree with the rank characterization.
     """
     v = p.graph.v
-    if v > bound:
-        raise ValueError(f"algebra basis check capped at {bound} vertices")
+    if v > ALGEBRA_CHECK_BOUND:
+        raise ValueError(
+            f"algebra basis check capped at {ALGEBRA_CHECK_BOUND} vertices"
+        )
     cols = walk_columns(p)
-    rows = [
-        clear_denominators([a * b for a in ci for b in cj])[0]
-        for ci in cols
-        for cj in cols
-    ]
-    result = int_rank(rows, v * v) == v * v
+    rows = [[a * b for a in ci for b in cj] for ci in cols for cj in cols]
+    result = int_rank(rows) == v * v
     expected = is_controllable_rank(p)
     if result != expected:
         raise InternalConsistencyError(

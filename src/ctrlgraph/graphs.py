@@ -151,15 +151,15 @@ def path_extension(g: Graph, members: Iterable[int], k: int) -> tuple[Graph, int
     return Graph.from_edges(g.v + k, edges), 0
 
 
-def automorphisms(g: Graph, bound: int = AUTOMORPHISM_BOUND) -> list[tuple[int, ...]]:
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """All automorphisms by backtracking, as permutation tuples.
 
     Candidates are pruned by (degree, sorted neighbour degrees) before the
     search; fine at census scale, deliberately not a canonical-labelling
     engine.
     """
-    if g.v > bound:
-        raise ValueError(f"automorphism search capped at {bound} vertices")
+    if g.v > AUTOMORPHISM_BOUND:
+        raise ValueError(f"automorphism search capped at {AUTOMORPHISM_BOUND} vertices")
     n = g.v
     adj = g.adjacency_sets()
     deg = g.degrees()
@@ -196,14 +196,14 @@ def automorphisms(g: Graph, bound: int = AUTOMORPHISM_BOUND) -> list[tuple[int, 
     return found
 
 
-def is_vertex_transitive(g: Graph, bound: int = AUTOMORPHISM_BOUND) -> bool:
+def is_vertex_transitive(g: Graph) -> bool:
     if g.v == 0:
         return True
     degs = g.degrees()
     if len(set(degs)) != 1:
         return False
     orbit = {0}
-    for perm in automorphisms(g, bound):
+    for perm in automorphisms(g):
         orbit.add(perm[0])
     return len(orbit) == g.v
 

@@ -14,7 +14,7 @@ from .errors import InternalConsistencyError
 from .graphs import Graph, automorphisms, laplacian_rows
 from .matrices import (
     adjugate_samples,
-    bilinear_numerator_poly,
+    bilinear_numerator_fractions,
     char_poly,
     int_rank,
     krylov_columns,
@@ -58,7 +58,7 @@ def edge_perturbation_polys(
         other = Graph.from_edges(g.v, set(g.edges) - {(min(i, j), max(i, j))})
     direct = laplacian_char_poly(other)
     base, bs = adjugate_samples(laplacian_rows(g))
-    psi = bilinear_numerator_poly(bs, h, h)
+    psi = IntPoly(bilinear_numerator_fractions(bs, h, h))
     formula = base - psi if mode == "add" else base + psi
     if direct != formula:
         raise InternalConsistencyError("Laplacian edge perturbation identity failed")
@@ -67,13 +67,13 @@ def edge_perturbation_polys(
 
 def h_module_dimension(g: Graph, i: int, j: int) -> int:
     """Dimension of the L-module generated by e_i - e_j."""
-    return int_rank(krylov_columns(laplacian_rows(g), _h_vector(g, i, j), g.v), g.v)
+    return int_rank(krylov_columns(laplacian_rows(g), _h_vector(g, i, j), g.v))
 
 
 def bordered_rank(g: Graph, i: int, j: int) -> int:
     """Rank of (ones | h | Lh | ... | L^{v-1}h)."""
     cols = krylov_columns(laplacian_rows(g), _h_vector(g, i, j), g.v)
-    return int_rank([[1] * g.v] + cols, g.v)
+    return int_rank([[1] * g.v] + cols)
 
 
 def laplacian_pair_controllable(g: Graph, i: int, j: int) -> bool:

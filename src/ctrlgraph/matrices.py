@@ -3,8 +3,10 @@
 A matrix is a sequence of rows, the one matrix format of the library; every
 matrix returned here is a tuple of row tuples, so results compare with ==.
 Entries are Python ints or Fractions (ints are kept as ints so the common
-all-integer case stays on the fast path).  Rank and determinants use
-fraction-free Bareiss elimination.  The characteristic polynomial and the
+all-integer case stays on the fast path).  Fraction-free Bareiss
+elimination is the one row reduction: it gives rank and determinant, and
+`solve` and `inverse` run it on the integer rows of (m | R) before an
+integer back substitution.  The characteristic polynomial and the
 adjugate of tI - A come together from one integer Faddeev-LeVerrier pass
 over the rows of A, as phi(t) and the coefficient matrices B_k of
 adj(tI - A) = sum B_k t^k; the pass keeps no state, so its caller holds on
@@ -61,11 +63,13 @@ def krylov_columns(rows: Sequence[Sequence], z: Sequence, count: int) -> list[li
     return cols
 
 
-def _bareiss(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, int, int]:
-    """Fraction-free Bareiss elimination of a copy of rows.
+def _bareiss(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, int, int, list]:
+    """Fraction-free Bareiss elimination of a copy of rows, pivoting in the
+    first ncols columns and carrying any further columns along.
 
-    Returns (rank, sign of the row swaps, last pivot); for a square matrix
-    of full rank, sign * last pivot is the determinant.
+    Returns (rank, sign of the row swaps, last pivot, eliminated rows); for
+    a square matrix of full rank, sign * last pivot is the determinant.
+    Every entry stays a minor of the input, so each division is exact.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
@@ -88,27 +92,25 @@ def _bareiss(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, int, int]:
         for r in range(rank + 1, nrows):
             f = m[r][col]
             rr = m[r]
-            for c in range(col + 1, ncols):
+            for c in range(col + 1, len(rr)):
                 rr[c] = (rr[c] * p - f * pr[c]) // prev
             rr[col] = 0
         prev = p
         rank += 1
         if rank == nrows:
             break
-    return rank, sign, prev
+    return rank, sign, prev, m
 
 
-def int_rank(rows: Sequence[Sequence[int]], ncols: int | None = None) -> int:
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix by fraction-free Bareiss elimination."""
-    if not rows:
-        return 0
-    return _bareiss(rows, len(rows[0]) if ncols is None else ncols)[0]
+    return _bareiss(rows, len(rows[0]))[0] if rows else 0
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix (Bareiss)."""
     n = len(rows)
-    rank, sign, last = _bareiss(rows, n)
+    rank, sign, last, _ = _bareiss(rows, n)
     return sign * last if rank == n else 0
 
 
@@ -117,39 +119,38 @@ def mat_rank(m: Sequence[Sequence]) -> int:
     return int_rank([clear_denominators(r)[0] for r in m])
 
 
-def _gauss_jordan(m: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list]:
-    """X with m X = R, for the rows of R given as rhs (k entries each);
-    raises ValueError on a singular matrix."""
+def _bareiss_solve(m: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list]:
+    """X with m X = R, for the rows of R given as rhs; raises ValueError on
+    a singular matrix.  Bareiss on the integer rows of (m | R), each row
+    cleared on its own, leaves U X = Y with U triangular; d X is integral
+    for the last pivot d (Cramer), so back substitution runs on d X."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("square matrix required")
     if len(rhs) != n:
         raise ValueError("shape mismatch")
-    aug = [[Fraction(e) for e in r] + [Fraction(x) for x in b] for r, b in zip(m, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        ac = aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                ar = aug[r]
-                for c in range(col, len(ac)):
-                    ar[c] -= f * ac[c]
-    return [r[n:] for r in aug]
+    aug = [clear_denominators([*r, *b])[0] for r, b in zip(m, rhs)]
+    rank, _, d, u = _bareiss(aug, n)
+    if rank < n:
+        raise ValueError("singular matrix")
+    dx = [None] * n
+    for i in range(n - 1, -1, -1):
+        ui = u[i]
+        acc = [d * y for y in ui[n:]]
+        for j in range(i + 1, n):
+            if ui[j]:
+                acc = [a - ui[j] * x for a, x in zip(acc, dx[j])]
+        dx[i] = [a // ui[i] for a in acc]
+    return [[Fraction(x, d) for x in r] for r in dx]
 
 
 def solve(m: Sequence[Sequence], b: Sequence) -> list[Fraction]:
     """Solve m x = b exactly; raises ValueError on a singular matrix."""
-    return [r[0] for r in _gauss_jordan(m, [[e] for e in b])]
+    return [r[0] for r in _bareiss_solve(m, [[e] for e in b])]
 
 
 def inverse(m: Sequence[Sequence]) -> tuple:
-    return tuple(map(tuple, _gauss_jordan(m, identity(len(m)))))
+    return tuple(map(tuple, _bareiss_solve(m, identity(len(m)))))
 
 
 def adjugate_samples(rows: Sequence[Sequence]) -> tuple:
@@ -211,9 +212,3 @@ def bilinear_numerator_fractions(bs: Sequence, y: Sequence, z: Sequence) -> tupl
     zs = [(j, b) for j, b in enumerate(z) if b]
     return tuple(sum(a * bk[i][j] * b for i, a in ys for j, b in zs) for bk in bs)
 
-
-def bilinear_numerator_poly(bs: Sequence, y: Sequence, z: Sequence) -> IntPoly:
-    coeffs, d = clear_denominators(bilinear_numerator_fractions(bs, y, z))
-    if d != 1:
-        raise ValueError("numerator polynomial is not integral")
-    return IntPoly(coeffs)

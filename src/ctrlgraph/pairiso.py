@@ -118,11 +118,8 @@ def module_orthogonality_check(g: Graph, u: int, w: int) -> bool:
         for cm in cols_m:
             if sum(a * b for a, b in zip(cp, cm)) != 0:
                 raise InternalConsistencyError("cyclic modules are not orthogonal")
-    combined = [[int(x) for x in col] for col in cols_p + cols_m]
-    if int_rank(combined, v) == v:
-        dim_p = int_rank([[int(x) for x in c] for c in cols_p], v)
-        dim_m = int_rank([[int(x) for x in c] for c in cols_m], v)
-        if dim_p + dim_m != v:
+    if int_rank(cols_p + cols_m) == v:
+        if int_rank(cols_p) + int_rank(cols_m) != v:
             raise InternalConsistencyError("modules do not form a direct sum")
     return True
 

@@ -167,13 +167,6 @@ class IntPoly:
         return q
 
 
-def poly_from_roots(roots: Sequence[int]) -> IntPoly:
-    p = IntPoly([1])
-    for r in roots:
-        p = p * IntPoly([-r, 1])
-    return p
-
-
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, all integer."""
     d = a.degree - b.degree
@@ -216,20 +209,6 @@ def poly_squarefree(f: IntPoly) -> bool:
     if f.is_constant:
         return True
     return poly_gcd(f, f.derivative()).is_constant
-
-
-def squarefree_part(f: IntPoly) -> IntPoly:
-    """f with repeated roots collapsed to simple ones: f / gcd(f, f')."""
-    if f.is_zero:
-        raise ValueError("squarefree part of the zero polynomial")
-    if f.is_constant:
-        return IntPoly([1])
-    return f.exact_div(poly_gcd(f, f.derivative())).primitive()
-
-
-def distinct_root_count(f: IntPoly) -> int:
-    """Number of distinct complex roots: degree of the squarefree part."""
-    return squarefree_part(f).degree
 
 
 def interpolate_fractions(points: Sequence[int], values: Sequence) -> tuple:
@@ -288,13 +267,6 @@ class RationalFunction:
         num = IntPoly(a // c for a in num.coeffs)
         den = IntPoly(a // c for a in den.coeffs)
         return RationalFunction(num, den)
-
-    def distinct_pole_count(self) -> int:
-        """Distinct roots of the denominator after cancellation."""
-        r = self.normalize()
-        if r.den.is_constant:
-            return 0
-        return distinct_root_count(r.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):

@@ -1,8 +1,12 @@
 """Independent brute-force oracles the fast implementations are checked
 against.  Deliberately naive: cofactor expansion, plain Fraction
-elimination, repeated matrix powers."""
+elimination, repeated matrix powers; plus the pole and root counts that
+only tests read."""
 
 from fractions import Fraction
+
+from ctrlgraph.control import graph_char_poly, numerator_poly
+from ctrlgraph.polys import IntPoly, RationalFunction, poly_gcd
 
 
 def cofactor_det(rows):
@@ -84,3 +88,37 @@ def divmod_fractions(a, d):
             for j, b in enumerate(d):
                 rem[k + j] -= c * b
     return q, rem
+
+
+def poly_from_roots(roots):
+    p = IntPoly([1])
+    for r in roots:
+        p = p * IntPoly([-r, 1])
+    return p
+
+
+def squarefree_part(f):
+    """f with repeated roots collapsed to simple ones: f / gcd(f, f')."""
+    if f.is_zero:
+        raise ValueError("squarefree part of the zero polynomial")
+    if f.is_constant:
+        return IntPoly([1])
+    return f.exact_div(poly_gcd(f, f.derivative())).primitive()
+
+
+def distinct_root_count(f):
+    """Number of distinct complex roots: degree of the squarefree part."""
+    return squarefree_part(f).degree
+
+
+def distinct_pole_count(r):
+    """Distinct roots of the denominator of r after cancellation."""
+    r = r.normalize()
+    if r.den.is_constant:
+        return 0
+    return distinct_root_count(r.den)
+
+
+def pair_rational_function(p):
+    """z^T (tI-A)^{-1} z as an exact ratio of integer polynomials."""
+    return RationalFunction(numerator_poly(p), graph_char_poly(p.graph))

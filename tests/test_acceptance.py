@@ -24,9 +24,10 @@ from ctrlgraph.graphs import (
     path,
     path_extension,
 )
-from ctrlgraph.polys import IntPoly, RationalFunction, distinct_root_count, poly_gcd
+from ctrlgraph.polys import IntPoly, RationalFunction, poly_gcd
 
 from conftest import EXPECTED_COUNTS, all_subsets, census_graphs, census_lines
+from oracles import distinct_root_count
 
 
 def report(num, name, ok):

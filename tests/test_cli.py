@@ -111,6 +111,16 @@ def test_census_lenient_exit(tmp_path):
     assert json.loads(text)["summary"]["error_lines"] == 1
 
 
+def test_census_refuses_fewer_than_one_worker(tmp_path, capsys):
+    g6file = tmp_path / "in.g6"
+    g6file.write_text("A_\n")
+    for workers in ("0", "-2"):
+        argv = ["census", "--input", str(g6file), "--workers", workers]
+        code, text = run(argv, tmp_path)
+        assert code == cli.EXIT_INPUT and text == ""
+        assert "--workers" in capsys.readouterr().err
+
+
 def test_census_consistency_failure_names_line(tmp_path, monkeypatch, capsys):
     def disagree(p):
         raise InternalConsistencyError(f"characterizations disagree for {p}")
@@ -252,6 +262,24 @@ def test_lti_rejects_json_booleans(tmp_path):
     spec.write_text(json.dumps({"a": [[1.0, 0], [0, 0]], "b": [1, 0], "c": [1, 0]}))
     code, _ = run(["lti", str(spec)], tmp_path)
     assert code == cli.EXIT_INPUT
+
+
+def test_lti_zero_denominator_is_an_input_error(tmp_path, capsys):
+    base = {"a": [[0, 1], [1, 0]], "b": [1, 0], "c": [1, 0]}
+    cases = [
+        {"a": [[0, "1/0"], [1, 0]]},
+        {"b": ["1/0", 0]},
+        {"c": [1, "-3/0"]},
+        {"x0": [0, "1/0"]},
+        {"inputs": [1, "1/0", 0, 0, 0, 0]},
+        {"recover": {"outputs": ["1/0", 0], "m": 0}},
+    ]
+    spec = tmp_path / "sys.json"
+    for case in cases:
+        spec.write_text(json.dumps({**base, **case}))
+        code, text = run(["lti", str(spec)], tmp_path)
+        assert code == cli.EXIT_INPUT and text == ""
+        assert "zero denominator" in capsys.readouterr().err
 
 
 def test_lti_bad_spec(tmp_path):

@@ -7,9 +7,10 @@ import sympy
 from ctrlgraph.control import graph_char_poly
 from ctrlgraph.graphs import Graph, cycle, path
 from ctrlgraph.irreducible import is_irreducible
-from ctrlgraph.polys import IntPoly, poly_from_roots
+from ctrlgraph.polys import IntPoly
 
 from conftest import census_graphs
+from oracles import poly_from_roots
 
 
 T = sympy.Symbol("t")

@@ -70,8 +70,10 @@ def test_bordered_rank_is_module_dim_plus_one():
 
 def test_pole_count_matches_module_dimension():
     from ctrlgraph.graphs import laplacian_rows
-    from ctrlgraph.matrices import adjugate_samples, bilinear_numerator_poly
-    from ctrlgraph.polys import RationalFunction
+    from ctrlgraph.matrices import adjugate_samples, bilinear_numerator_fractions
+    from ctrlgraph.polys import IntPoly, RationalFunction
+
+    from oracles import distinct_pole_count
 
     for g in census_graphs(4):
         lap_poly = laplacian_char_poly(g)
@@ -79,8 +81,8 @@ def test_pole_count_matches_module_dimension():
         for i, j in itertools.combinations(range(4), 2):
             h = [0] * 4
             h[i], h[j] = 1, -1
-            psi = bilinear_numerator_poly(bs, h, h)
-            poles = RationalFunction(psi, lap_poly).distinct_pole_count()
+            psi = IntPoly(bilinear_numerator_fractions(bs, h, h))
+            poles = distinct_pole_count(RationalFunction(psi, lap_poly))
             assert poles == h_module_dimension(g, i, j)
 
 

@@ -159,7 +159,7 @@ def test_cayley_hamilton_rank_saturation():
         rows = list(transpose(w)) + [extra]
         from ctrlgraph.matrices import int_rank
 
-        assert int_rank(rows, d) == mat_rank(w)
+        assert int_rank(rows) == mat_rank(w)
 
 
 def test_dimension_validation():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ctrlgraph.matrices import (
     adjugate_samples,
-    bilinear_numerator_poly,
+    bilinear_numerator_fractions,
     char_poly,
     clear_denominators,
     identity,
@@ -188,8 +188,8 @@ def test_solve_singular():
 def test_bilinear_numerator_is_adjugate_quadratic_form():
     # 2x2 swap matrix: adj(tI - A) = [[t, 1], [1, t]]
     _, bs = adjugate_samples([[0, 1], [1, 0]])
-    assert bilinear_numerator_poly(bs, [1, 1], [1, 1]) == IntPoly([2, 2])
-    assert bilinear_numerator_poly(bs, [1, 0], [1, 0]) == IntPoly([0, 1])
+    assert bilinear_numerator_fractions(bs, [1, 1], [1, 1]) == (2, 2)
+    assert bilinear_numerator_fractions(bs, [1, 0], [1, 0]) == (0, 1)
 
 
 def test_matmul_and_transpose():
