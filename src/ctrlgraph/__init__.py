@@ -13,13 +13,12 @@ from .errors import Graph6Error, InternalConsistencyError
 from .graphs import Graph, complement, cone, emit_graph6, parse_graph6, path_extension
 from .matrices import char_poly, mat_rank
 from .pairiso import canonical_walk_matrix, pairs_isomorphic, q_matrix
-from .polys import IntPoly, RationalFunction, poly_gcd, poly_squarefree
+from .polys import RationalFunction, poly_gcd, poly_squarefree
 
 __all__ = [
     "ControllabilityReport",
     "Graph",
     "Graph6Error",
-    "IntPoly",
     "InternalConsistencyError",
     "PairSpec",
     "RationalFunction",

@@ -76,13 +76,13 @@ def all_subsets(v: int):
 
 def analyze_line(task) -> CensusRow:
     line_no, text, modes, max_n = task
+    text = text.strip()
     row = CensusRow(line=line_no, graph6=text)
     try:
         g = parse_graph6(text)
     except Graph6Error as exc:
         row.error = str(exc)
         return row
-    row.graph6 = text.strip()
     row.n = g.v
     if max_n is not None and g.v > max_n:
         row.error = f"graph on {g.v} vertices exceeds --max-n {max_n}"

@@ -182,6 +182,22 @@ def _parse_rational(x) -> Fraction:
     raise CliError(f"expected an integer or 'p/q' string, got {x!r}")
 
 
+def _array(x, name: str) -> list:
+    if not isinstance(x, list):
+        raise CliError(f"{name} must be a JSON array, got {x!r}")
+    return x
+
+
+def _vector(x, name: str) -> list[Fraction]:
+    return [_parse_rational(e) for e in _array(x, name)]
+
+
+def _count(x, name: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int) or x < 0:
+        raise CliError(f"{name} must be a non-negative integer, got {x!r}")
+    return x
+
+
 def cmd_lti(args) -> int:
     try:
         with open(args.spec) as fh:
@@ -189,12 +205,12 @@ def cmd_lti(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read system spec: {exc}")
     try:
-        a_rows = [[_parse_rational(x) for x in row] for row in spec["a"]]
-        b = [_parse_rational(x) for x in spec["b"]]
-        c = [_parse_rational(x) for x in spec["c"]]
-        x0 = [_parse_rational(x) for x in spec.get("x0", [0] * len(b))]
-        inputs = [_parse_rational(x) for x in spec.get("inputs", [])]
-        order = int(spec.get("order", 3 * len(b)))
+        a_rows = [_vector(row, "a row") for row in _array(spec["a"], "a")]
+        b = _vector(spec["b"], "b")
+        c = _vector(spec["c"], "c")
+        x0 = _vector(spec.get("x0", [0] * len(b)), "x0")
+        inputs = _vector(spec.get("inputs", []), "inputs")
+        order = _count(spec.get("order", 3 * len(b)), "order")
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed system spec: {exc}")
     try:
@@ -209,8 +225,8 @@ def cmd_lti(args) -> int:
     try:
         tf = lti_mod.transfer_function(sys_)
         doc["transfer_function"] = {
-            "numerator": [str(x) for x in tf.num.coeffs],
-            "denominator": [str(x) for x in tf.den.coeffs],
+            "numerator": [str(x) for x in tf.num],
+            "denominator": [str(x) for x in tf.den],
         }
     except ValueError as exc:
         doc["transfer_function"] = {"error": str(exc)}
@@ -219,8 +235,8 @@ def cmd_lti(args) -> int:
         doc["generating_identity"] = {"ok": ok, "first_mismatch": first_bad}
     if "recover" in spec:
         try:
-            observed = [_parse_rational(x) for x in spec["recover"]["outputs"]]
-            m = int(spec["recover"].get("m", 0))
+            observed = _vector(spec["recover"]["outputs"], "recover.outputs")
+            m = _count(spec["recover"].get("m", 0), "recover.m")
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"malformed recovery spec: {exc}")
         try:

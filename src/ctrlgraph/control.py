@@ -24,7 +24,7 @@ from .matrices import (
     krylov_columns,
     transpose,
 )
-from .polys import IntPoly, poly_gcd
+from .polys import poly_gcd, sub, trim
 
 ALGEBRA_CHECK_BOUND = 7
 
@@ -101,16 +101,16 @@ def graph_adjugate(g: Graph) -> tuple:
 
 
 @lru_cache(maxsize=ADJUGATE_CACHE_SIZE)
-def graph_char_poly(g: Graph) -> IntPoly:
+def graph_char_poly(g: Graph) -> tuple:
     """phi(X, t) = det(tI - A)."""
     return graph_adjugate(g)[0]
 
 
 @lru_cache(maxsize=ADJUGATE_CACHE_SIZE)
-def vertex_deleted_char_polys(g: Graph) -> tuple[IntPoly, ...]:
+def vertex_deleted_char_polys(g: Graph) -> tuple[tuple, ...]:
     """phi(X minus u, t) for every u, read off the adjugate diagonal."""
     bs = graph_adjugate(g)[1]
-    return tuple(IntPoly(bk[u][u] for bk in bs) for u in range(g.v))
+    return tuple(trim(bk[u][u] for bk in bs) for u in range(g.v))
 
 
 def numerator_coeffs(p: PairSpec) -> tuple:
@@ -119,9 +119,9 @@ def numerator_coeffs(p: PairSpec) -> tuple:
     return bilinear_numerator_fractions(graph_adjugate(p.graph)[1], p.vector, p.vector)
 
 
-def numerator_poly(p: PairSpec) -> IntPoly:
+def numerator_poly(p: PairSpec) -> tuple:
     """phi_S(X, t) as an integer polynomial."""
-    return IntPoly(numerator_coeffs(p))
+    return trim(numerator_coeffs(p))
 
 
 def is_controllable_poles(p: PairSpec) -> bool:
@@ -131,7 +131,7 @@ def is_controllable_poles(p: PairSpec) -> bool:
     over its distinct eigenvalues: every pole is simple, and v distinct
     poles means gcd(phi_S, phi) = 1 (no squarefree test of phi needed).
     """
-    return poly_gcd(numerator_poly(p), graph_char_poly(p.graph)).is_constant
+    return len(poly_gcd(numerator_poly(p), graph_char_poly(p.graph))) == 1
 
 
 def is_vertex_controllable(g: Graph, u: int) -> bool:
@@ -139,7 +139,7 @@ def is_vertex_controllable(g: Graph, u: int) -> bool:
     if not 0 <= u < g.v:
         raise ValueError(f"vertex {u} out of range")
     deleted = vertex_deleted_char_polys(g)[u]
-    return poly_gcd(deleted, graph_char_poly(g)).is_constant
+    return len(poly_gcd(deleted, graph_char_poly(g))) == 1
 
 
 def algebra_basis_check(p: PairSpec) -> bool:
@@ -196,12 +196,12 @@ def full_report(p: PairSpec) -> ControllabilityReport:
     )
 
 
-def cone_charpoly_identity(g: Graph, members: Iterable[int]) -> tuple[IntPoly, IntPoly]:
+def cone_charpoly_identity(g: Graph, members: Iterable[int]) -> tuple[tuple, tuple]:
     """phi of the cone, directly and via t*phi(X) - phi_S(X); must match."""
     s = check_subset(g, members)
     direct = graph_char_poly(cone(g, s))
     p = PairSpec.from_subset(g, s)
-    formula = graph_char_poly(g).shift(1) - numerator_poly(p)
+    formula = sub((0, *graph_char_poly(g)), numerator_poly(p))
     if direct != formula:
         raise InternalConsistencyError("cone characteristic polynomial identity failed")
     return direct, formula

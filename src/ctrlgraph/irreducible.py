@@ -10,7 +10,7 @@ factor of degree at most deg(f)/2, and products of lifted factors, by
 increasing number of factors, are tried as integer divisors of f: a
 factor of f over the integers is the symmetric lift of one of them.
 
-The helpers take coefficient lists, low degree first, and return them
+Polynomials are coefficient tuples as in `polys`; the helpers return them
 reduced modulo the modulus they are given.
 """
 
@@ -20,32 +20,25 @@ import itertools
 import math
 
 from .errors import InternalConsistencyError
-from .polys import IntPoly, poly_squarefree
+from .polys import add, derivative, divides, mul, poly_squarefree, sub, trim
 
 
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _reduce(a, m: int) -> tuple:
+    return trim(x % m for x in a)
 
 
-def _mul(a: list[int], b: list[int], m: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return _trim([x % m for x in out])
+def _mul(a: tuple, b: tuple, m: int) -> tuple:
+    return _reduce(mul(a, b), m)
 
 
-def _product(polys, m: int) -> list[int]:
-    out = [1]
+def _product(polys, m: int) -> tuple:
+    out = (1,)
     for g in polys:
         out = _mul(out, g, m)
     return out
 
 
-def _divmod(a: list[int], b: list[int], m: int):
+def _divmod(a: tuple, b: tuple, m: int):
     """Quotient and remainder of a by b modulo m; lc(b) must be a unit mod m."""
     a = list(a)
     binv = pow(b[-1], -1, m)
@@ -57,21 +50,21 @@ def _divmod(a: list[int], b: list[int], m: int):
             q[off] = c
             for i in range(nb):
                 a[off + i] -= c * b[i]
-    return _trim(q), _trim([x % m for x in a[:nb]])
+    return trim(q), _reduce(a[:nb], m)
 
 
-def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
+def _gcd(a: tuple, b: tuple, p: int) -> tuple:
     """Monic gcd over GF(p)."""
     while b:
         a, b = b, _divmod(a, b, p)[1]
     inv = pow(a[-1], -1, p)
-    return [x * inv % p for x in a]
+    return tuple(x * inv % p for x in a)
 
 
-def _powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+def _powmod(a: tuple, e: int, f: tuple, p: int) -> tuple:
     """a^e mod f over GF(p), by left-to-right square and multiply."""
     base = _divmod(a, f, p)[1]
-    result = [1]
+    result = (1,)
     for bit in bin(e)[2:]:
         result = _divmod(_mul(result, result, p), f, p)[1]
         if bit == "1":
@@ -79,21 +72,18 @@ def _powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
     return result
 
 
-def _inverse(a: list[int], g: list[int], p: int) -> list[int]:
+def _inverse(a: tuple, g: tuple, p: int) -> tuple:
     """a^{-1} mod g over GF(p), for a coprime to g (extended Euclid)."""
-    r0, r1, s0, s1 = g, _divmod(a, g, p)[1], [], [1]
+    r0, r1, s0, s1 = g, _divmod(a, g, p)[1], (), (1,)
     while len(r1) > 1:
         q, r = _divmod(r0, r1, p)
-        qs = _mul(q, s1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _trim(
-            [(x - y) % p for x, y in itertools.zip_longest(s0, qs, fillvalue=0)]
-        )
+        s0, s1 = s1, _reduce(sub(s0, mul(q, s1)), p)
     inv = pow(r1[0], -1, p)
-    return [x * inv % p for x in s1]
+    return tuple(x * inv % p for x in s1)
 
 
-def _split(g: list[int], k: int, p: int) -> list[list[int]]:
+def _split(g: tuple, k: int, p: int) -> list[tuple]:
     """The factors of g, a product of distinct monic irreducibles of degree
     k over GF(p), by Cantor-Zassenhaus on t + c.  Two such factors u, v are
     split by some c unless p <= (2k - 1)^2 (Weil's bound on the character
@@ -102,26 +92,23 @@ def _split(g: list[int], k: int, p: int) -> list[list[int]]:
         return [g]
     e = (p**k - 1) // 2
     for c in range(p):
-        w = _powmod([c, 1], e, g, p) or [0]
-        w[0] = (w[0] - 1) % p
-        u = _gcd(g, _trim(w), p)
+        w = _reduce(sub(_powmod((c, 1), e, g, p), (1,)), p)
+        u = _gcd(g, w, p)
         if 1 < len(u) < len(g):
             return _split(u, k, p) + _split(_divmod(g, u, p)[0], k, p)
     raise InternalConsistencyError(f"no t + c splits a degree-{k} block mod {p}")
 
 
-def _factor_mod(f: list[int], p: int) -> list[list[int]]:
+def _factor_mod(f: tuple, p: int) -> list[tuple]:
     """The monic irreducible factors over GF(p) of a monic squarefree f:
     distinct-degree factorization, each block split by _split."""
     factors = []
-    h = [0, 1]
+    h = (0, 1)
     k = 0
     while len(f) - 1 >= 2 * (k + 1):
         k += 1
         h = _powmod(h, p, f, p)
-        x = h + [0] * (2 - len(h))
-        x[1] = (x[1] - 1) % p
-        g = _gcd(f, _trim(x), p)
+        g = _gcd(f, _reduce(sub(h, (0, 1)), p), p)
         if len(g) > 1:
             factors += _split(g, k, p)
             f, rem = _divmod(f, g, p)
@@ -133,7 +120,7 @@ def _factor_mod(f: list[int], p: int) -> list[list[int]]:
     return factors
 
 
-def _hensel_lift(f: list[int], g: list[int], p: int, m: int) -> list[int]:
+def _hensel_lift(f: tuple, g: tuple, p: int, m: int) -> tuple:
     """The monic factor of f modulo m (a power of p) congruent to g modulo
     p, where g is a monic irreducible factor of f mod p coprime to f/g.
 
@@ -144,44 +131,43 @@ def _hensel_lift(f: list[int], g: list[int], p: int, m: int) -> list[int]:
     while q < m:
         r = _divmod(f, g, q * p)[1]
         dg = _divmod(_mul([c // q for c in r], inv, p), g, p)[1]
-        g = [a + q * b for a, b in itertools.zip_longest(g, dg, fillvalue=0)]
+        g = add(g, [q * b for b in dg])
         q *= p
     return g
 
 
-def is_irreducible(f: IntPoly) -> bool:
+def is_irreducible(f: tuple) -> bool:
     """Irreducibility over the rationals for a monic integer polynomial."""
-    if f.is_zero or f.is_constant:
+    if len(f) < 2:
         return False
-    if f.leading() != 1:
+    if f[-1] != 1:
         raise ValueError("irreducibility test requires a monic polynomial")
-    if f.degree == 1:
+    if len(f) == 2:
         return True
     if f[0] == 0 or not poly_squarefree(f):
         return False
-    n = f.degree
-    coeffs = list(f.coeffs)
+    n = len(f) - 1
     p = n * n + 1
     while not (
         all(p % d for d in range(2, math.isqrt(p) + 1))
-        and len(_gcd(coeffs, f.derivative().coeffs, p)) == 1
+        and len(_gcd(f, derivative(f), p)) == 1
     ):
         p += 1
-    factors = _factor_mod([c % p for c in coeffs], p)
+    factors = _factor_mod(_reduce(f, p), p)
     if len(factors) == 1:
         return True
     h = n // 2
-    bound = math.comb(h, h // 2) * (math.isqrt(sum(c * c for c in coeffs)) + 1)
+    bound = math.comb(h, h // 2) * (math.isqrt(sum(c * c for c in f)) + 1)
     m = p
     while m <= 2 * bound:
         m *= p
-    lifted = [_hensel_lift(coeffs, g, p, m) for g in factors]
-    if _product(lifted, m) != [c % m for c in coeffs]:
+    lifted = [_hensel_lift(f, g, p, m) for g in factors]
+    if _product(lifted, m) != _reduce(f, m):
         raise InternalConsistencyError(f"Hensel lift of {f} fails mod {m}")
     for size in range(1, len(lifted)):
         for combo in itertools.combinations(lifted, size):
             if sum(len(g) - 1 for g in combo) <= h:
                 g = _product(combo, m)
-                if IntPoly(c - m if 2 * c > m else c for c in g).divides(f):
+                if divides(trim(c - m if 2 * c > m else c for c in g), f):
                     return False
     return True

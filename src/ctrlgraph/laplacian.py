@@ -19,7 +19,7 @@ from .matrices import (
     int_rank,
     krylov_columns,
 )
-from .polys import IntPoly
+from .polys import add, sub, trim
 
 
 def _h_vector(g: Graph, i: int, j: int) -> list[int]:
@@ -32,13 +32,13 @@ def _h_vector(g: Graph, i: int, j: int) -> list[int]:
     return h
 
 
-def laplacian_char_poly(g: Graph) -> IntPoly:
+def laplacian_char_poly(g: Graph) -> tuple:
     return char_poly(laplacian_rows(g))
 
 
 def edge_perturbation_polys(
     g: Graph, i: int, j: int, mode: str
-) -> tuple[IntPoly, IntPoly]:
+) -> tuple[tuple, tuple]:
     """phi of the perturbed Laplacian, directly and via the rank-one
     correction formula; the two must agree exactly.
 
@@ -58,8 +58,8 @@ def edge_perturbation_polys(
         other = Graph.from_edges(g.v, set(g.edges) - {(min(i, j), max(i, j))})
     direct = laplacian_char_poly(other)
     base, bs = adjugate_samples(laplacian_rows(g))
-    psi = IntPoly(bilinear_numerator_fractions(bs, h, h))
-    formula = base - psi if mode == "add" else base + psi
+    psi = trim(bilinear_numerator_fractions(bs, h, h))
+    formula = sub(base, psi) if mode == "add" else add(base, psi)
     if direct != formula:
         raise InternalConsistencyError("Laplacian edge perturbation identity failed")
     return direct, formula

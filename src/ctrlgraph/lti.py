@@ -22,7 +22,7 @@ from .matrices import (
     solve,
     transpose,
 )
-from .polys import IntPoly, RationalFunction
+from .polys import RationalFunction, trim
 
 
 @dataclass(frozen=True)
@@ -95,12 +95,11 @@ def transfer_function(sys: DiscreteSystem) -> RationalFunction:
     """
     phi, bs = adjugate_samples(sys.a)
     psi, scale = clear_denominators(bilinear_numerator_fractions(bs, sys.c, sys.b))
-    phi = phi * scale
     # reverse both against degree d (psi has d coefficients, phi d + 1):
     # the numerator picks up t^{d-1}, so the extra factor of t in
     # (1/t) phi_rev cancels cleanly
-    num_rev = IntPoly(reversed(psi))
-    den_rev = IntPoly(reversed(phi.coeffs))
+    num_rev = trim(reversed(psi))
+    den_rev = trim(scale * c for c in reversed(phi))
     return RationalFunction(num_rev, den_rev).normalize()
 
 
@@ -110,6 +109,8 @@ def generating_identity_check(sys: DiscreteSystem, inputs: Sequence, order: int)
 
     Returns (True, None) or (False, first mismatching order).
     """
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {order}")
     if len(inputs) < order:
         raise ValueError("need at least `order` input values")
     states = simulate(sys, inputs, order)

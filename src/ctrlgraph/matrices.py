@@ -9,8 +9,9 @@ elimination is the one row reduction: it gives rank and determinant, and
 integer back substitution.  The characteristic polynomial and the
 adjugate of tI - A come together from one integer Faddeev-LeVerrier pass
 over the rows of A, as phi(t) and the coefficient matrices B_k of
-adj(tI - A) = sum B_k t^k; the pass keeps no state, so its caller holds on
-to the result and passes it down.
+adj(tI - A) = sum B_k t^k; phi is a coefficient tuple, low degree first,
+in the polynomial format of `polys`.  The pass keeps no state, so its
+caller holds on to the result and passes it down.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from math import lcm
 from typing import Sequence
 
 from .errors import InternalConsistencyError
-from .polys import IntPoly
 
 
 def identity(n: int) -> tuple:
@@ -155,8 +155,8 @@ def inverse(m: Sequence[Sequence]) -> tuple:
 
 def adjugate_samples(rows: Sequence[Sequence]) -> tuple:
     """(phi, (B_0, ..., B_{n-1})) for a square integer matrix A given by its
-    rows, where phi = det(tI - A) and adj(tI - A) = sum_k B_k t^k, each B_k
-    a tuple of integer rows.  Integral Fractions are accepted.
+    rows, where phi = det(tI - A) is a coefficient tuple, low degree first,
+    and adj(tI - A) = sum_k B_k t^k, each B_k a tuple of integer rows.  Integral Fractions are accepted.
 
     One integer Faddeev-LeVerrier pass: M_1 = I; for j = 1..n:
     c_{n-j} = -tr(A M_j)/j, B_{n-j} = M_j and M_{j+1} = A M_j + c_{n-j} I.
@@ -194,10 +194,10 @@ def adjugate_samples(rows: Sequence[Sequence]) -> tuple:
         m = am
     if any(any(r) for r in m):
         raise InternalConsistencyError("Cayley-Hamilton check failed: phi(A) != 0")
-    return IntPoly(coeffs), tuple(bs)
+    return tuple(coeffs), tuple(bs)
 
 
-def char_poly(rows: Sequence[Sequence]) -> IntPoly:
+def char_poly(rows: Sequence[Sequence]) -> tuple:
     """det(tI - A) for a square integer matrix A given by its rows."""
     return adjugate_samples(rows)[0]
 

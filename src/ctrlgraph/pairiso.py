@@ -67,27 +67,29 @@ def q_involution_check(g: Graph, s, t) -> bool:
     return True
 
 
+def _controllable_walk_rows(g: Graph) -> list[tuple]:
+    """Rows of the full-subset walk matrix, built once; ValueError unless
+    the graph is controllable."""
+    cols = walk_columns(PairSpec.from_subset(g, range(g.v)))
+    if int_rank(cols) != g.v:
+        raise ValueError("canonical order requires a controllable graph")
+    return list(zip(*cols))
+
+
 def canonical_order(g: Graph) -> tuple[int, ...]:
     """Permutation sorting the full-subset walk-matrix rows lexicographically.
 
     Only defined for controllable graphs, where the rows are pairwise
     distinct, making the order (and hence the sorted matrix) canonical.
     """
-    p = PairSpec.from_subset(g, range(g.v))
-    if not is_controllable_rank(p):
-        raise ValueError("canonical order requires a controllable graph")
-    cols = walk_columns(p)
-    rows = [tuple(col[u] for col in cols) for u in range(g.v)]
-    return tuple(sorted(range(g.v), key=lambda u: rows[u]))
+    rows = _controllable_walk_rows(g)
+    return tuple(sorted(range(g.v), key=rows.__getitem__))
 
 
 def canonical_walk_matrix(g: Graph) -> tuple[tuple, ...]:
     """Rows of the walk matrix in canonical order; equal across relabelings
     of a controllable graph, distinct across non-isomorphic ones."""
-    order = canonical_order(g)
-    p = PairSpec.from_subset(g, range(g.v))
-    cols = walk_columns(p)
-    return tuple(tuple(col[u] for col in cols) for u in order)
+    return tuple(sorted(_controllable_walk_rows(g)))
 
 
 def cospectral_vertices(g: Graph) -> list[tuple[int, int]]:

@@ -6,7 +6,14 @@ only tests read."""
 from fractions import Fraction
 
 from ctrlgraph.control import graph_char_poly, numerator_poly
-from ctrlgraph.polys import IntPoly, RationalFunction, poly_gcd
+from ctrlgraph.polys import (
+    RationalFunction,
+    derivative,
+    exact_div,
+    mul,
+    poly_gcd,
+    primitive,
+)
 
 
 def cofactor_det(rows):
@@ -90,31 +97,39 @@ def divmod_fractions(a, d):
     return q, rem
 
 
+def evaluate(f, x):
+    """f(x) by Horner's rule, for a coefficient tuple f."""
+    acc = 0
+    for a in reversed(f):
+        acc = acc * x + a
+    return acc
+
+
 def poly_from_roots(roots):
-    p = IntPoly([1])
+    p = (1,)
     for r in roots:
-        p = p * IntPoly([-r, 1])
+        p = mul(p, (-r, 1))
     return p
 
 
 def squarefree_part(f):
     """f with repeated roots collapsed to simple ones: f / gcd(f, f')."""
-    if f.is_zero:
+    if not f:
         raise ValueError("squarefree part of the zero polynomial")
-    if f.is_constant:
-        return IntPoly([1])
-    return f.exact_div(poly_gcd(f, f.derivative())).primitive()
+    if len(f) == 1:
+        return (1,)
+    return primitive(exact_div(f, poly_gcd(f, derivative(f))))
 
 
 def distinct_root_count(f):
     """Number of distinct complex roots: degree of the squarefree part."""
-    return squarefree_part(f).degree
+    return len(squarefree_part(f)) - 1
 
 
 def distinct_pole_count(r):
     """Distinct roots of the denominator of r after cancellation."""
     r = r.normalize()
-    if r.den.is_constant:
+    if len(r.den) == 1:
         return 0
     return distinct_root_count(r.den)
 

@@ -24,7 +24,7 @@ from ctrlgraph.graphs import (
     path,
     path_extension,
 )
-from ctrlgraph.polys import IntPoly, RationalFunction, poly_gcd
+from ctrlgraph.polys import RationalFunction, poly_gcd, sub
 
 from conftest import EXPECTED_COUNTS, all_subsets, census_graphs, census_lines
 from oracles import distinct_root_count
@@ -225,11 +225,11 @@ def test_criterion_11_johnson_newman():
 
 
 def test_criterion_12_path_facts():
-    phi = {0: IntPoly([1]), 1: IntPoly([0, 1])}
+    phi = {0: (1,), 1: (0, 1)}
     for n in range(1, 21):
         phi[n + 1] = graph_char_poly(path(n + 1))
-        assert phi[n + 1] == phi[n].shift(1) - phi[n - 1]
-        assert poly_gcd(phi[n + 1], phi[n]).is_constant
+        assert phi[n + 1] == sub((0, *phi[n]), phi[n - 1])
+        assert poly_gcd(phi[n + 1], phi[n]) == (1,)
     for n in range(1, 13):
         assert control.is_controllable_rank(PairSpec.from_subset(path(n), [0]))
     report(12, "path recurrence, coprimality, end-vertex control", True)
@@ -287,9 +287,7 @@ def test_criterion_14_lti():
         assert state == list(sys_.x0)
         recovered += 1
     k2 = lti.DiscreteSystem.create([[0, 1], [1, 0]], [1, 0], [1, 0])
-    assert lti.transfer_function(k2) == RationalFunction(
-        IntPoly([1]), IntPoly([1, 0, -1])
-    )
+    assert lti.transfer_function(k2) == RationalFunction((1,), (1, 0, -1))
     report(14, "linear system identities", True)
 
 

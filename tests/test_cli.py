@@ -111,6 +111,22 @@ def test_census_lenient_exit(tmp_path):
     assert json.loads(text)["summary"]["error_lines"] == 1
 
 
+def test_census_error_rows_keep_the_stripped_line(tmp_path):
+    g6file = tmp_path / "in.g6"
+    g6file.write_text("A_\nB!\nBw\n")
+    argv = ["census", "--input", str(g6file), "--format", "csv", "--lenient",
+            "--summary-out", str(tmp_path / "sum.json")]
+    code, text = run(argv, tmp_path, "out.csv")
+    assert code == cli.EXIT_OK
+    lines = text.split("\n")
+    assert len(lines) == 5 and lines[-1] == ""  # header + 3 rows, newline-ended
+    header, bad = lines[0].split(","), lines[2].split(",")
+    assert bad[header.index("graph6")] == "B!" and bad[header.index("error")]
+    code, text = run(argv[:4] + ["json", "--lenient"], tmp_path)
+    assert code == cli.EXIT_OK
+    assert [r["graph6"] for r in json.loads(text)["rows"]] == ["A_", "B!", "Bw"]
+
+
 def test_census_refuses_fewer_than_one_worker(tmp_path, capsys):
     g6file = tmp_path / "in.g6"
     g6file.write_text("A_\n")
@@ -148,7 +164,7 @@ def test_census_past_twelve_vertices(tmp_path):
     assert row["n"] == "13" and row["error"] == ""
     t = sympy.Symbol("t")
     phi = graph_char_poly(path(13))
-    expected = sympy.Poly(sum(c * t**k for k, c in enumerate(phi.coeffs)), t).is_irreducible
+    expected = sympy.Poly(sum(c * t**k for k, c in enumerate(phi)), t).is_irreducible
     assert row["irreducible_charpoly"] == str(expected)
 
 
@@ -280,6 +296,31 @@ def test_lti_zero_denominator_is_an_input_error(tmp_path, capsys):
         code, text = run(["lti", str(spec)], tmp_path)
         assert code == cli.EXIT_INPUT and text == ""
         assert "zero denominator" in capsys.readouterr().err
+
+
+def test_lti_rejects_malformed_arrays_and_counts(tmp_path, capsys):
+    base = {"a": [[0, 1], [1, 0]], "b": [1, 0], "c": [1, 0], "inputs": [0] * 6}
+    cases = [
+        ({"a": ["01", "10"]}, "a row must be a JSON array"),
+        ({"a": "0110"}, "a must be a JSON array"),
+        ({"b": "10"}, "b must be a JSON array"),
+        ({"c": 1}, "c must be a JSON array"),
+        ({"x0": "00"}, "x0 must be a JSON array"),
+        ({"inputs": "000000"}, "inputs must be a JSON array"),
+        ({"order": True}, "order must be a non-negative integer"),
+        ({"order": -5}, "order must be a non-negative integer"),
+        ({"order": "3"}, "order must be a non-negative integer"),
+        ({"order": 2.0}, "order must be a non-negative integer"),
+        ({"recover": {"outputs": "10", "m": 0}}, "recover.outputs must be"),
+        ({"recover": {"outputs": [1, 0], "m": -1}}, "recover.m must be"),
+        ({"recover": {"outputs": [1, 0], "m": False}}, "recover.m must be"),
+    ]
+    spec = tmp_path / "sys.json"
+    for case, message in cases:
+        spec.write_text(json.dumps({**base, **case}))
+        code, text = run(["lti", str(spec)], tmp_path)
+        assert code == cli.EXIT_INPUT and text == "", case
+        assert message in capsys.readouterr().err, case
 
 
 def test_lti_bad_spec(tmp_path):

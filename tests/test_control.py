@@ -31,7 +31,7 @@ from ctrlgraph.graphs import (
     path_extension,
 )
 from ctrlgraph.matrices import int_det, inverse
-from ctrlgraph.polys import IntPoly, interpolate_fractions
+from ctrlgraph.polys import interpolate_fractions, mul, sub
 
 from conftest import all_graphs_upto, all_subsets, census_graphs
 from oracles import distinct_pole_count, pair_rational_function
@@ -41,11 +41,11 @@ K1 = Graph.from_edges(1, ())
 
 def test_path_char_polys_match_recurrence():
     # phi(P_0) = 1, phi(P_1) = t, phi(P_{n+1}) = t phi(P_n) - phi(P_{n-1})
-    prev, cur = IntPoly([1]), IntPoly([0, 1])
+    prev, cur = (1,), (0, 1)
     for n in range(2, 9):
-        prev, cur = cur, cur.shift(1) - prev
+        prev, cur = cur, sub((0, *cur), prev)
         assert graph_char_poly(path(n)) == cur
-    assert graph_char_poly(path(3)) == IntPoly([0, -2, 0, 1])
+    assert graph_char_poly(path(3)) == (0, -2, 0, 1)
 
 
 def test_walk_matrix_examples():
@@ -65,9 +65,9 @@ def test_rank_characterization_examples():
 
 
 def test_numerator_poly_examples():
-    assert numerator_poly(PairSpec.from_subset(path(3), [0])) == IntPoly([-1, 0, 1])
-    assert numerator_poly(PairSpec.from_subset(path(3), [])).is_zero
-    assert numerator_poly(PairSpec.from_subset(path(2), [0, 1])) == IntPoly([2, 2])
+    assert numerator_poly(PairSpec.from_subset(path(3), [0])) == (-1, 0, 1)
+    assert numerator_poly(PairSpec.from_subset(path(3), [])) == ()
+    assert numerator_poly(PairSpec.from_subset(path(2), [0, 1])) == (2, 2)
 
 
 def test_numerator_is_vertex_deleted_poly_for_singletons():
@@ -150,7 +150,7 @@ def test_integer_scaling_pairs():
             p = PairSpec.from_subset(g, s)
             p3 = PairSpec.from_vector(g, [3 * x for x in p.vector])
             assert walk_matrix_rank(p3) == walk_matrix_rank(p)
-            assert numerator_poly(p3) == numerator_poly(p) * 9
+            assert numerator_poly(p3) == mul(numerator_poly(p), (9,))
             assert is_controllable_poles(p3) == is_controllable_poles(p)
 
 
@@ -176,12 +176,12 @@ def test_full_report_examples():
 
 def test_cone_charpoly_identity_examples():
     d, f = cone_charpoly_identity(K1, [0])
-    assert d == IntPoly([-1, 0, 1])
+    assert d == (-1, 0, 1)
     d, f = cone_charpoly_identity(path(2), [0, 1])
-    assert d == IntPoly([-2, -3, 0, 1])
+    assert d == (-2, -3, 0, 1)
     g = path(3)
     d, f = cone_charpoly_identity(g, [])
-    assert d == graph_char_poly(g).shift(1)
+    assert d == (0, *graph_char_poly(g))
 
 
 def test_cone_transfer_examples():

@@ -75,10 +75,11 @@ def digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def census_digests(tmp_path, source, *extra):
+def census_digests(tmp_path, source, *extra, workers=1):
     csv, summary = tmp_path / "out.csv", tmp_path / "summary.json"
     code = cli.main(
-        ["census", "--input", str(source), "--format", "csv", "--workers", "1",
+        ["census", "--input", str(source), "--format", "csv",
+         "--workers", str(workers),
          "--out", str(csv), "--summary-out", str(summary), *extra]
     )
     assert code == cli.EXIT_OK
@@ -94,6 +95,12 @@ def command_digest(tmp_path, argv) -> str:
 @pytest.mark.parametrize("n", range(1, 8))
 def test_census_bytes(tmp_path, n):
     assert census_digests(tmp_path, DATA_DIR / f"graphs{n}.g6") == CENSUS[n]
+
+
+def test_census_bytes_at_two_workers(tmp_path):
+    # the pool emits rows in input order: same bytes as one worker
+    digests = census_digests(tmp_path, DATA_DIR / "graphs6.g6", workers=2)
+    assert digests == CENSUS[6]
 
 
 def test_census_subsets_bytes(tmp_path):

@@ -21,12 +21,13 @@ from ctrlgraph.matrices import (
     solve,
     transpose,
 )
-from ctrlgraph.polys import IntPoly
+from ctrlgraph.polys import mul
 
 from oracles import (
     charpoly_at,
     cofactor_adjugate,
     cofactor_det,
+    evaluate,
     mat_power_vec,
     naive_rank,
 )
@@ -77,12 +78,12 @@ def test_det_matches_cofactor(rows):
 
 
 def test_char_poly_1x1_zero():
-    assert char_poly([[0]]) == IntPoly([0, 1])
+    assert char_poly([[0]]) == (0, 1)
 
 
 def test_char_poly_p2():
     m = [[0, 1], [1, 0]]
-    assert char_poly(m) == IntPoly([-1, 0, 1])
+    assert char_poly(m) == (-1, 0, 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -92,7 +93,7 @@ def test_char_poly_matches_cofactor_oracle(rows, c):
     n = len(rows)
     sym = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
     p = char_poly(sym)
-    assert p.evaluate(c) == charpoly_at(sym, c)
+    assert evaluate(p, c) == charpoly_at(sym, c)
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,10 +102,10 @@ def test_adjugate_pass_matches_cofactor_oracle(rows):
     # non-symmetric on purpose: the pass must not rely on A = A^T
     n = len(rows)
     phi, bs = adjugate_samples(rows)
-    assert phi.degree == n and phi.leading() == 1
+    assert len(phi) == n + 1 and phi[-1] == 1
     assert len(bs) == n
     for c in (-3, -1, 0, 2, 5):
-        assert phi.evaluate(c) == charpoly_at(rows, c)
+        assert evaluate(phi, c) == charpoly_at(rows, c)
         shifted = [
             [c * (i == j) - rows[i][j] for j in range(n)] for i in range(n)
         ]
@@ -119,7 +120,7 @@ def test_char_poly_block_diagonal_multiplies():
     a = [[0, 1], [1, 0]]
     b = [[2]]
     block = [[0, 1, 0], [1, 0, 0], [0, 0, 2]]
-    assert char_poly(block) == char_poly(a) * char_poly(b)
+    assert char_poly(block) == mul(char_poly(a), char_poly(b))
 
 
 def test_char_poly_requires_square():
