@@ -2,8 +2,9 @@
 
 Subcommands: analyze (one graph, one or many subsets), census (stream of
 graph6 lines), isocheck (pair isomorphism by two independent routes), lti
-(discrete linear system report).  Exit codes: 0 ok, 2 input error, 3 guard
-exceeded, 4 internal-consistency failure (a violated theorem, i.e. a bug).
+(discrete linear system report).  Exit codes: 0 ok, 2 input error or a file
+that cannot be read or written, 3 guard exceeded, 4 internal-consistency
+failure (a violated theorem, i.e. a bug).
 """
 
 from __future__ import annotations
@@ -110,11 +111,14 @@ def cmd_analyze(args) -> int:
 def cmd_census(args) -> int:
     if args.workers < 1:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
-    if args.input:
-        with open(args.input) as fh:
-            lines = fh.readlines()
-    else:
-        lines = sys.stdin.readlines()
+    try:
+        if args.input:
+            with open(args.input) as fh:
+                lines = fh.readlines()
+        else:
+            lines = sys.stdin.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {args.input or 'stdin'}: {exc}")
     modes = (args.mode,) if args.mode else ("full", "vertices")
     config = census_mod.CensusConfig(
         modes=modes,
@@ -122,17 +126,17 @@ def cmd_census(args) -> int:
         max_n=args.max_n,
     )
     rows, summary = census_mod.run_census(lines, config)
+    summary_text = json.dumps(
+        census_mod.summary_to_json(summary), indent=2, sort_keys=True
+    ) + "\n"
     if args.format == "csv":
         _write_output(args.out, census_mod.rows_to_csv(rows))
-        summary_text = json.dumps(
-            census_mod.summary_to_json(summary), indent=2, sort_keys=True
-        ) + "\n"
-        if args.summary_out:
-            _write_output(args.summary_out, summary_text)
-        else:
+        if not args.summary_out:
             sys.stderr.write(summary_text)
     else:
         _write_output(args.out, census_mod.census_json_document(rows, summary))
+    if args.summary_out:
+        _write_output(args.summary_out, summary_text)
     if summary.errors and not args.lenient:
         return EXIT_INPUT
     return EXIT_OK
@@ -202,8 +206,8 @@ def cmd_lti(args) -> int:
     try:
         with open(args.spec) as fh:
             spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read system spec: {exc}")
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot read system spec {args.spec}: {exc}")
     try:
         a_rows = [_vector(row, "a row") for row in _array(spec["a"], "a")]
         b = _vector(spec["b"], "b")
@@ -233,6 +237,10 @@ def cmd_lti(args) -> int:
     if len(inputs) >= order:
         ok, first_bad = lti_mod.generating_identity_check(sys_, inputs, order)
         doc["generating_identity"] = {"ok": ok, "first_mismatch": first_bad}
+    else:
+        doc["generating_identity"] = {
+            "skipped": f"need {order} input values, got {len(inputs)}"
+        }
     if "recover" in spec:
         try:
             observed = _vector(spec["recover"]["outputs"], "recover.outputs")
@@ -250,8 +258,11 @@ def cmd_lti(args) -> int:
 
 def _write_output(path, text: str):
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {path}: {exc}")
     else:
         sys.stdout.write(text)
 

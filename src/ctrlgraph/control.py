@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from . import irreducible
 from .errors import InternalConsistencyError
-from .graphs import Graph, adjacency_rows, check_subset, cone, covering_radius
+from .graphs import Graph, check_subset, cone, covering_radius
 from .matrices import (
     adjugate_samples,
     bilinear_numerator_fractions,
@@ -77,7 +77,7 @@ class ControllabilityReport:
 
 def walk_columns(p: PairSpec) -> list[list]:
     """Columns z, Az, ..., A^{v-1}z."""
-    return krylov_columns(adjacency_rows(p.graph), p.vector, p.graph.v)
+    return krylov_columns(p.graph.rows, p.vector, p.graph.v)
 
 
 def walk_matrix(p: PairSpec) -> tuple:
@@ -97,7 +97,7 @@ def is_controllable_rank(p: PairSpec) -> bool:
 def graph_adjugate(g: Graph) -> tuple:
     """(phi, (B_0, ..., B_{v-1})) of the adjacency matrix: the one kernel
     pass per graph, which every spectral quantity below reads."""
-    return adjugate_samples(adjacency_rows(g))
+    return adjugate_samples(g.rows)
 
 
 @lru_cache(maxsize=ADJUGATE_CACHE_SIZE)

@@ -1,8 +1,12 @@
 """Simple undirected graphs on vertices 0..v-1.
 
-Covers the constructions the rest of the library needs: matrix extraction,
-complement, cones and path extensions, brute-force automorphisms for small
-graphs, BFS covering radii, and graph6 parsing/emission.
+A graph is its adjacency matrix, the one graph format of the library:
+`Graph.rows` is a symmetric tuple of 0/1 row tuples with zero diagonal,
+in the row format of `matrices`, so kernels take it as it is.  The vertex
+count and the edge set are read from the rows.  Covers the constructions
+the rest of the library needs: Laplacian rows, complement, cones and path
+extensions, brute-force automorphisms for small graphs, BFS covering
+radii, and graph6 parsing/emission.
 """
 
 from __future__ import annotations
@@ -21,52 +25,49 @@ INFINITE = math.inf
 
 @dataclass(frozen=True)
 class Graph:
-    v: int
-    edges: frozenset  # frozenset of (i, j) with i < j
+    """The constructor trusts its rows; `from_edges` validates its input."""
+
+    rows: tuple
 
     @classmethod
     def from_edges(cls, v: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        norm = set()
+        rows = [[0] * v for _ in range(v)]
         for a, b in edges:
             if a == b:
                 raise ValueError(f"loop at vertex {a}")
             if not (0 <= a < v and 0 <= b < v):
                 raise ValueError(f"edge ({a},{b}) out of range for v={v}")
-            norm.add((min(a, b), max(a, b)))
-        return cls(v, frozenset(norm))
+            rows[a][b] = rows[b][a] = 1
+        return cls(tuple(map(tuple, rows)))
+
+    @property
+    def v(self) -> int:
+        return len(self.rows)
+
+    @property
+    def edges(self) -> frozenset:
+        """The edges as pairs (i, j) with i < j."""
+        return frozenset(
+            (i, j) for i, r in enumerate(self.rows) for j in range(i + 1, len(r)) if r[j]
+        )
 
     def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
-
-    def adjacency_sets(self) -> list[set]:
-        adj = [set() for _ in range(self.v)]
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
+        return 0 <= min(a, b) and max(a, b) < self.v and self.rows[a][b] == 1
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.v
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
+        return [sum(r) for r in self.rows]
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Apply the permutation: vertex u becomes perm[u]."""
         if sorted(perm) != list(range(self.v)):
             raise ValueError("not a permutation")
-        return Graph.from_edges(self.v, ((perm[a], perm[b]) for a, b in self.edges))
+        inv = sorted(range(self.v), key=perm.__getitem__)
+        return Graph(tuple(tuple(self.rows[a][b] for b in inv) for a in inv))
 
     def delete_vertex(self, u: int) -> "Graph":
         if not 0 <= u < self.v:
             raise ValueError(f"vertex {u} out of range")
-        keep = [w for w in range(self.v) if w != u]
-        idx = {w: i for i, w in enumerate(keep)}
-        return Graph.from_edges(
-            self.v - 1,
-            ((idx[a], idx[b]) for a, b in self.edges if u not in (a, b)),
-        )
+        return Graph(tuple(r[:u] + r[u + 1 :] for r in self.rows[:u] + self.rows[u + 1 :]))
 
 
 def path(n: int) -> Graph:
@@ -87,33 +88,20 @@ def empty(n: int) -> Graph:
     return Graph.from_edges(n, ())
 
 
-def adjacency_rows(g: Graph) -> list[list[int]]:
-    rows = [[0] * g.v for _ in range(g.v)]
-    for a, b in g.edges:
-        rows[a][b] = 1
-        rows[b][a] = 1
-    return rows
-
-
-def laplacian_rows(g: Graph) -> list[list[int]]:
-    rows = [[0] * g.v for _ in range(g.v)]
-    for a, b in g.edges:
-        rows[a][b] -= 1
-        rows[b][a] -= 1
-        rows[a][a] += 1
-        rows[b][b] += 1
-    return rows
+def laplacian_rows(g: Graph) -> tuple:
+    """D - A, as a tuple of row tuples."""
+    return tuple(
+        tuple(sum(r) if i == j else -x for j, x in enumerate(r))
+        for i, r in enumerate(g.rows)
+    )
 
 
 def complement(g: Graph) -> Graph:
-    return Graph.from_edges(
-        g.v,
-        (
-            (i, j)
-            for i in range(g.v)
-            for j in range(i + 1, g.v)
-            if (i, j) not in g.edges
-        ),
+    return Graph(
+        tuple(
+            tuple(int(i != j and not x) for j, x in enumerate(r))
+            for i, r in enumerate(g.rows)
+        )
     )
 
 
@@ -130,9 +118,8 @@ def cone(g: Graph, members: Iterable[int]) -> Graph:
     The apex gets label 0 and every old vertex i becomes i+1.
     """
     s = check_subset(g, members)
-    edges = [(a + 1, b + 1) for a, b in g.edges]
-    edges.extend((0, u + 1) for u in s)
-    return Graph.from_edges(g.v + 1, edges)
+    apex = tuple(int(u in s) for u in range(g.v))
+    return Graph(((0, *apex), *((a, *r) for a, r in zip(apex, g.rows))))
 
 
 def path_extension(g: Graph, members: Iterable[int], k: int) -> tuple[Graph, int]:
@@ -140,15 +127,15 @@ def path_extension(g: Graph, members: Iterable[int], k: int) -> tuple[Graph, int
 
     Returns the new graph and the label of the far end of the path (the
     distinguished vertex).  New path vertices are 0..k-1, with vertex k-1
-    the attachment point; old vertex i becomes i+k.
+    the attachment point; old vertex i becomes i+k: k cones, each apex
+    joined to the one before.
     """
     if k < 1:
         raise ValueError("path extension needs k >= 1")
-    s = check_subset(g, members)
-    edges = [(a + k, b + k) for a, b in g.edges]
-    edges.extend((i, i + 1) for i in range(k - 1))
-    edges.extend((k - 1, u + k) for u in s)
-    return Graph.from_edges(g.v + k, edges), 0
+    g = cone(g, members)
+    for _ in range(k - 1):
+        g = cone(g, [0])
+    return g, 0
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -161,11 +148,9 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     if g.v > AUTOMORPHISM_BOUND:
         raise ValueError(f"automorphism search capped at {AUTOMORPHISM_BOUND} vertices")
     n = g.v
-    adj = g.adjacency_sets()
+    rows = g.rows
     deg = g.degrees()
-    inv = [
-        (deg[u], tuple(sorted(deg[w] for w in adj[u]))) for u in range(n)
-    ]
+    inv = [(deg[u], tuple(sorted(d for d, x in zip(deg, rows[u]) if x))) for u in range(n)]
     candidates = [
         [w for w in range(n) if inv[w] == inv[u]] for u in range(n)
     ]
@@ -180,12 +165,7 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
         for w in candidates[u]:
             if used[w]:
                 continue
-            ok = True
-            for x in range(u):
-                if (x in adj[u]) != (perm[x] in adj[w]):
-                    ok = False
-                    break
-            if ok:
+            if all(rows[u][x] == rows[w][perm[x]] for x in range(u)):
                 perm[u] = w
                 used[w] = True
                 extend(u + 1)
@@ -199,27 +179,22 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
 def is_vertex_transitive(g: Graph) -> bool:
     if g.v == 0:
         return True
-    degs = g.degrees()
-    if len(set(degs)) != 1:
+    if len(set(g.degrees())) != 1:
         return False
-    orbit = {0}
-    for perm in automorphisms(g):
-        orbit.add(perm[0])
-    return len(orbit) == g.v
+    return len({perm[0] for perm in automorphisms(g)}) == g.v
 
 
 def distances_from(g: Graph, sources: Iterable[int]) -> list:
     """BFS distance of each vertex to the source set (inf if unreachable)."""
     dist = [INFINITE] * g.v
-    adj = g.adjacency_sets()
     q = deque()
     for s in sources:
         dist[s] = 0
         q.append(s)
     while q:
         u = q.popleft()
-        for w in adj[u]:
-            if dist[w] > dist[u] + 1:
+        for w, x in enumerate(g.rows[u]):
+            if x and dist[w] > dist[u] + 1:
                 dist[w] = dist[u] + 1
                 q.append(w)
     return dist
@@ -275,24 +250,19 @@ def parse_graph6(text: str) -> Graph:
         bits.extend((val >> k) & 1 for k in range(5, -1, -1))
     if any(bits[nbits:]):
         raise Graph6Error(f"nonzero padding bits in {line!r}")
-    edges = []
-    idx = 0
+    rows = [[0] * n for _ in range(n)]
+    upper = iter(bits)
     for j in range(1, n):
         for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph.from_edges(n, edges)
+            rows[i][j] = rows[j][i] = next(upper)
+    return Graph(tuple(map(tuple, rows)))
 
 
 def emit_graph6(g: Graph) -> str:
     if g.v > 62:
         raise Graph6Error("only short-form graph6 (n <= 62) is supported")
     n = g.v
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in g.edges else 0)
+    bits = [g.rows[i][j] for j in range(1, n) for i in range(j)]
     while len(bits) % 6:
         bits.append(0)
     out = [chr(63 + n)]

@@ -52,11 +52,9 @@ def edge_perturbation_polys(
         raise ValueError(f"edge ({i},{j}) already present")
     if mode == "delete" and not present:
         raise ValueError(f"edge ({i},{j}) not present")
-    if mode == "add":
-        other = Graph.from_edges(g.v, set(g.edges) | {(min(i, j), max(i, j))})
-    else:
-        other = Graph.from_edges(g.v, set(g.edges) - {(min(i, j), max(i, j))})
-    direct = laplacian_char_poly(other)
+    rows = [list(r) for r in g.rows]
+    rows[i][j] = rows[j][i] = int(mode == "add")
+    direct = laplacian_char_poly(Graph(tuple(map(tuple, rows))))
     base, bs = adjugate_samples(laplacian_rows(g))
     psi = trim(bilinear_numerator_fractions(bs, h, h))
     formula = sub(base, psi) if mode == "add" else add(base, psi)

@@ -20,7 +20,7 @@ from .control import (
     walk_matrix,
 )
 from .errors import InternalConsistencyError
-from .graphs import Graph, adjacency_rows, complement
+from .graphs import Graph, complement
 from .matrices import identity, int_rank, inverse, mat_mul, mat_vec, transpose
 
 
@@ -44,8 +44,7 @@ def q_matrix(p1: PairSpec, p2: PairSpec) -> tuple:
     qt = transpose(q)
     if mat_mul(qt, q) != identity(p1.graph.v):
         raise InternalConsistencyError("Q is not orthogonal")
-    a2 = tuple(map(tuple, adjacency_rows(p2.graph)))
-    if mat_mul(mat_mul(q, adjacency_rows(p1.graph)), qt) != a2:
+    if mat_mul(mat_mul(q, p1.graph.rows), qt) != p2.graph.rows:
         raise InternalConsistencyError("Q does not conjugate A to B")
     if mat_vec(q, p1.vector) != list(p2.vector):
         raise InternalConsistencyError("Q does not map y to z")
@@ -57,8 +56,7 @@ def q_involution_check(g: Graph, s, t) -> bool:
     p1 = PairSpec.from_subset(g, s)
     p2 = PairSpec.from_subset(g, t)
     q = q_matrix(p1, p2)
-    a = adjacency_rows(g)
-    if mat_mul(q, a) != mat_mul(a, q):
+    if mat_mul(q, g.rows) != mat_mul(g.rows, q):
         raise InternalConsistencyError("Q does not commute with A")
     if mat_mul(q, q) != identity(g.v):
         raise InternalConsistencyError("Q is not an involution")

@@ -137,3 +137,46 @@ def distinct_pole_count(r):
 def pair_rational_function(p):
     """z^T (tI-A)^{-1} z as an exact ratio of integer polynomials."""
     return RationalFunction(numerator_poly(p), graph_char_poly(p.graph))
+
+
+# Graphs as plain edge sets: pairs (i, j) with i < j.
+
+
+def edge_set(pairs):
+    return {(min(a, b), max(a, b)) for a, b in pairs}
+
+
+def naive_adjacency(v, edges):
+    return [[int((min(i, j), max(i, j)) in edges) for j in range(v)] for i in range(v)]
+
+
+def naive_degrees(v, edges):
+    return [sum(u in e for e in edges) for u in range(v)]
+
+
+def naive_laplacian(v, edges):
+    deg = naive_degrees(v, edges)
+    adj = naive_adjacency(v, edges)
+    return [[deg[i] if i == j else -adj[i][j] for j in range(v)] for i in range(v)]
+
+
+def naive_complement(v, edges):
+    return {(i, j) for i in range(v) for j in range(i + 1, v)} - edges
+
+
+def naive_delete_vertex(edges, u):
+    return {(a - (a > u), b - (b > u)) for a, b in edges if u not in (a, b)}
+
+
+def naive_relabel(edges, perm):
+    return edge_set((perm[a], perm[b]) for a, b in edges)
+
+
+def naive_path_extension(edges, members, k):
+    """Path 0-1-...-(k-1), vertex k-1 joined to each member, old i -> i+k
+    (k = 1 is the cone)."""
+    return (
+        {(a + k, b + k) for a, b in edges}
+        | {(i, i + 1) for i in range(k - 1)}
+        | {(k - 1, u + k) for u in members}
+    )

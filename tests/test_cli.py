@@ -127,6 +127,43 @@ def test_census_error_rows_keep_the_stripped_line(tmp_path):
     assert [r["graph6"] for r in json.loads(text)["rows"]] == ["A_", "B!", "Bw"]
 
 
+def test_census_file_errors_are_input_errors(tmp_path, capsys):
+    good = tmp_path / "in.g6"
+    good.write_text("A_\n")
+    bad_bytes = tmp_path / "bad.g6"
+    bad_bytes.write_bytes(b"\xff\xfe")
+    missing_dir = tmp_path / "no" / "such"
+    cases = [
+        (["--input", str(tmp_path / "missing.g6")], "missing.g6"),
+        (["--input", str(tmp_path)], str(tmp_path)),
+        (["--input", str(bad_bytes)], "bad.g6"),
+        (["--input", str(good), "--out", str(missing_dir / "o.json")], "o.json"),
+        (["--input", str(good), "--format", "csv",
+          "--summary-out", str(missing_dir / "s.json")], "s.json"),
+    ]
+    for extra, name in cases:
+        assert cli.main(["census", *extra]) == cli.EXIT_INPUT, extra
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot ") and name in err, extra
+
+
+def test_census_summary_out_in_both_formats(tmp_path):
+    g6file = tmp_path / "in.g6"
+    g6file.write_text("A_\nBw\n")
+    summaries = {}
+    for fmt in ("json", "csv"):
+        summary = tmp_path / f"{fmt}.summary.json"
+        code, text = run(
+            ["census", "--input", str(g6file), "--format", fmt,
+             "--summary-out", str(summary)],
+            tmp_path, f"out.{fmt}",
+        )
+        assert code == cli.EXIT_OK and text
+        summaries[fmt] = json.loads(summary.read_text())
+    assert summaries["json"] == summaries["csv"]
+    assert summaries["json"]["total_lines"] == 2
+
+
 def test_census_refuses_fewer_than_one_worker(tmp_path, capsys):
     g6file = tmp_path / "in.g6"
     g6file.write_text("A_\n")
@@ -252,6 +289,22 @@ def test_lti_recovery_and_singular_case(tmp_path):
     doc = json.loads(text)
     assert doc["observable"] is False
     assert "error" in doc["recovered_state"]
+
+
+def test_lti_reports_a_skipped_generating_identity(tmp_path):
+    spec = tmp_path / "sys.json"
+    spec.write_text(json.dumps({
+        "a": [[0, 1], [1, 0]],
+        "b": [1, 0],
+        "c": [1, 0],
+        "inputs": [1, 2],
+        "order": 9,
+    }))
+    code, text = run(["lti", str(spec)], tmp_path)
+    assert code == cli.EXIT_OK
+    assert json.loads(text)["generating_identity"] == {
+        "skipped": "need 9 input values, got 2"
+    }
 
 
 def test_lti_non_integer_state_matrix(tmp_path):

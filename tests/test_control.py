@@ -23,7 +23,6 @@ from ctrlgraph.control import (
 from ctrlgraph.errors import InternalConsistencyError
 from ctrlgraph.graphs import (
     Graph,
-    adjacency_rows,
     complete,
     cycle,
     empty,
@@ -31,7 +30,7 @@ from ctrlgraph.graphs import (
     path_extension,
 )
 from ctrlgraph.matrices import int_det, inverse
-from ctrlgraph.polys import interpolate_fractions, mul, sub
+from ctrlgraph.polys import interpolate_fractions, mul, poly_gcd, sub
 
 from conftest import all_graphs_upto, all_subsets, census_graphs
 from oracles import distinct_pole_count, pair_rational_function
@@ -64,6 +63,17 @@ def test_rank_characterization_examples():
     assert not is_controllable_rank(PairSpec.from_subset(path(2), [0, 1]))
 
 
+def test_rank_is_v_minus_degree_of_pole_gcd():
+    # A symmetric: phi_S / phi = sum_theta |E_theta z|^2 / (t - theta), so
+    # phi / gcd(phi_S, phi) has one simple root per theta with E_theta z != 0,
+    # and those vectors E_theta z span the columns of W(z)
+    for g in all_graphs_upto(6):
+        for s in all_subsets(g.v):
+            p = PairSpec.from_subset(g, s)
+            common = poly_gcd(numerator_poly(p), graph_char_poly(g))
+            assert walk_matrix_rank(p) == g.v - (len(common) - 1), (g, s)
+
+
 def test_numerator_poly_examples():
     assert numerator_poly(PairSpec.from_subset(path(3), [0])) == (-1, 0, 1)
     assert numerator_poly(PairSpec.from_subset(path(3), [])) == ()
@@ -87,7 +97,7 @@ def test_vertex_deleted_polys_are_charpolys_of_deleted_graphs():
 def _phi_s_by_sampled_inverse(g, z):
     """z^T adj(tI - A) z from adj(cI - A) = det(cI - A) (cI - A)^{-1} at v
     points above the Gershgorin bound, then interpolated."""
-    rows = adjacency_rows(g)
+    rows = g.rows
     base = max(sum(r) for r in rows) + 1
     points = list(range(base, base + g.v))
     values = []

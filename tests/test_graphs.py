@@ -9,7 +9,6 @@ from ctrlgraph.errors import Graph6Error
 from ctrlgraph.graphs import (
     Graph,
     INFINITE,
-    adjacency_rows,
     automorphisms,
     complement,
     cone,
@@ -29,26 +28,36 @@ from ctrlgraph.graphs import (
 from ctrlgraph.matrices import mat_mul, transpose
 
 from conftest import all_subsets, census_graphs, census_lines
+from oracles import (
+    edge_set,
+    naive_adjacency,
+    naive_complement,
+    naive_degrees,
+    naive_delete_vertex,
+    naive_laplacian,
+    naive_path_extension,
+    naive_relabel,
+)
 
 
 def brute_automorphisms(g):
-    adj = g.adjacency_sets()
+    a = g.rows
     out = []
     for perm in itertools.permutations(range(g.v)):
-        if all((perm[b] in adj[perm[a]]) == (b in adj[a]) for a in range(g.v) for b in range(g.v)):
+        if all(a[perm[i]][perm[j]] == a[i][j] for i in range(g.v) for j in range(g.v)):
             out.append(perm)
     return out
 
 
 def test_adjacency_examples():
-    assert adjacency_rows(path(2)) == [[0, 1], [1, 0]]
-    assert adjacency_rows(Graph.from_edges(1, ())) == [[0]]
-    assert adjacency_rows(path(3)) == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    assert path(2).rows == ((0, 1), (1, 0))
+    assert Graph.from_edges(1, ()).rows == ((0,),)
+    assert path(3).rows == ((0, 1, 0), (1, 0, 1), (0, 1, 0))
 
 
 def test_laplacian_examples():
-    assert laplacian_rows(path(2)) == [[1, -1], [-1, 1]]
-    assert laplacian_rows(empty(3)) == [[0] * 3] * 3
+    assert laplacian_rows(path(2)) == ((1, -1), (-1, 1))
+    assert laplacian_rows(empty(3)) == ((0,) * 3,) * 3
 
 
 def test_laplacian_is_sum_of_edge_difference_matrices():
@@ -57,7 +66,7 @@ def test_laplacian_is_sum_of_edge_difference_matrices():
     for i, j in g.edges:
         h = [int(u == i) - int(u == j) for u in range(3)]  # e_i - e_j
         total = [[t + a * b for t, b in zip(row, h)] for row, a in zip(total, h)]
-    assert total == laplacian_rows(g)
+    assert tuple(map(tuple, total)) == laplacian_rows(g)
 
 
 def test_complement():
@@ -73,7 +82,7 @@ def test_complement_adjacency_identity():
     for g in census_graphs(5):
         total = [
             [x + y for x, y in zip(r, s)]
-            for r, s in zip(adjacency_rows(g), adjacency_rows(complement(g)))
+            for r, s in zip(g.rows, complement(g).rows)
         ]
         j_minus_i = [[0 if i == j else 1 for j in range(5)] for i in range(5)]
         assert total == j_minus_i
@@ -116,7 +125,7 @@ def test_automorphisms_match_brute_force():
 
 def test_automorphisms_preserve_adjacency():
     for g in census_graphs(5):
-        a = tuple(map(tuple, adjacency_rows(g)))
+        a = g.rows
         for perm in automorphisms(g):
             pm = [[1 if perm[j] == i else 0 for j in range(g.v)] for i in range(g.v)]
             assert mat_mul(mat_mul(pm, a), transpose(pm)) == a
@@ -188,3 +197,42 @@ def test_from_edges_validation():
         Graph.from_edges(2, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
+
+
+@st.composite
+def edge_lists(draw):
+    """(v, ordered vertex pairs), with repeats and both orientations."""
+    v = draw(st.integers(0, 9))
+    pairs = list(itertools.permutations(range(v), 2))
+    return v, draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists(), st.data())
+def test_rows_agree_with_edge_set_oracles(case, data):
+    v, pairs = case
+    g = Graph.from_edges(v, pairs)
+    edges = edge_set(pairs)
+    assert g.v == v and g.edges == edges
+    assert g.rows == tuple(map(tuple, naive_adjacency(v, edges)))
+    assert all(
+        g.has_edge(a, b) == ((min(a, b), max(a, b)) in edges)
+        for a in range(v)
+        for b in range(v)
+    )
+    assert g.degrees() == naive_degrees(v, edges)
+    assert complement(g) == Graph.from_edges(v, naive_complement(v, edges))
+    for u in range(v):
+        assert g.delete_vertex(u) == Graph.from_edges(v - 1, naive_delete_vertex(edges, u))
+    perm = data.draw(st.permutations(range(v)))
+    assert g.relabel(perm) == Graph.from_edges(v, naive_relabel(edges, perm))
+    assert laplacian_rows(g) == tuple(map(tuple, naive_laplacian(v, edges)))
+    assert parse_graph6(emit_graph6(g)) == g
+    members = data.draw(st.sets(st.integers(0, v - 1))) if v else set()
+    assert cone(g, members) == Graph.from_edges(
+        v + 1, naive_path_extension(edges, members, 1)
+    )
+    k = data.draw(st.integers(1, 3))
+    extended, far_end = path_extension(g, members, k)
+    assert far_end == 0
+    assert extended == Graph.from_edges(v + k, naive_path_extension(edges, members, k))
