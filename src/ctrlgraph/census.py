@@ -112,10 +112,7 @@ def analyze_line(task) -> CensusRow:
             if g.v > SUBSET_GUARD:
                 row.error = f"subset enumeration guarded at v <= {SUBSET_GUARD}"
                 return row
-            row.controllable_subsets = sum(
-                control.is_controllable_rank(control.PairSpec.from_subset(g, s))
-                for s in all_subsets(g.v)
-            )
+            row.controllable_subsets = control.controllable_subset_count(g)
             row.total_subsets = 2**g.v
     except InternalConsistencyError as exc:
         raise InternalConsistencyError(f"line {line_no} ({row.graph6}): {exc}") from exc

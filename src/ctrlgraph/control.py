@@ -93,6 +93,43 @@ def is_controllable_rank(p: PairSpec) -> bool:
     return walk_matrix_rank(p) == p.graph.v
 
 
+def controllable_subset_count(g: Graph) -> int:
+    """Number of subsets S, the empty one included, with (X, S) controllable.
+
+    Every column A^k z of W(z) lies in {p(A) z : deg p < d} for d the degree
+    of A's minimal polynomial, the rank of I, A, ..., A^{v-1}; so
+    rank W(z) <= d, and when d < v (A has a repeated eigenvalue) no subset
+    is controllable.  Otherwise, as W(z) is linear in z, the subsets are
+    visited in Gray-code order, each step adding or subtracting one
+    vertex's walk columns W(e_u), and each sum W(z_S) is ranked exactly.
+    At S = V the sum must equal the walk columns of the all-ones vector.
+    """
+    v = g.v
+    # W(e_u) for every vertex u; A^k e_u is also column u of A^k
+    walks = [
+        krylov_columns(g.rows, [int(i == u) for i in range(v)], v) for u in range(v)
+    ]
+    if int_rank([[x for w in walks for x in w[k]] for k in range(v)]) < v:
+        return 0
+    full = (1 << v) - 1
+    cols = [[0] * v for _ in range(v)]
+    mask = 0
+    count = int(v == 0)  # the empty subset, rank 0
+    for i in range(1, 1 << v):
+        u = (i & -i).bit_length() - 1
+        if mask >> u & 1:
+            cols = [[a - b for a, b in zip(c, w)] for c, w in zip(cols, walks[u])]
+        else:
+            cols = [[a + b for a, b in zip(c, w)] for c, w in zip(cols, walks[u])]
+        mask ^= 1 << u
+        if mask == full and cols != krylov_columns(g.rows, [1] * v, v):
+            raise InternalConsistencyError(
+                "summed vertex walk columns differ from the walk columns of V"
+            )
+        count += int_rank(cols) == v
+    return count
+
+
 @lru_cache(maxsize=ADJUGATE_CACHE_SIZE)
 def graph_adjugate(g: Graph) -> tuple:
     """(phi, (B_0, ..., B_{v-1})) of the adjacency matrix: the one kernel

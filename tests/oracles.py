@@ -5,7 +5,13 @@ only tests read."""
 
 from fractions import Fraction
 
-from ctrlgraph.control import graph_char_poly, numerator_poly
+from ctrlgraph.census import all_subsets
+from ctrlgraph.control import (
+    PairSpec,
+    graph_char_poly,
+    is_controllable_rank,
+    numerator_poly,
+)
 from ctrlgraph.polys import (
     RationalFunction,
     derivative,
@@ -65,6 +71,29 @@ def naive_rank(rows):
                 m[r] = [a - f * b for a, b in zip(m[r], pr)]
         rank += 1
     return rank
+
+
+def naive_power_rank(rows):
+    """Rank of I, M, ..., M^{n-1}, each flattened to one row, by repeated
+    matrix products and naive_rank."""
+    n = len(rows)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    flat = []
+    for _ in range(n):
+        flat.append([x for r in power for x in r])
+        power = [
+            [sum(power[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+    return naive_rank(flat)
+
+
+def subset_count_by_rank(g):
+    """Controllable subsets of g, empty one included, by one walk matrix
+    built and ranked per subset."""
+    return sum(
+        is_controllable_rank(PairSpec.from_subset(g, s)) for s in all_subsets(g.v)
+    )
 
 
 def charpoly_at(rows, c):

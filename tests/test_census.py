@@ -2,10 +2,12 @@ import json
 import pathlib
 
 import jsonschema
+import pytest
 
 from ctrlgraph import census, control
 from ctrlgraph.census import CensusConfig, run_census, rows_to_csv
 from ctrlgraph.control import ADJUGATE_CACHE_SIZE
+from ctrlgraph.errors import InternalConsistencyError
 
 from conftest import census_lines
 
@@ -49,6 +51,29 @@ def test_subsets_mode():
     assert rows[0].total_subsets == 8
     # two controllable singletons (the ends) and the two end+center pairs
     assert rows[0].controllable_subsets == 4
+
+
+def test_subsets_mode_edge_cases():
+    rows, _ = run_census(["?", "@"], CensusConfig(modes=("subsets",)))
+    # v = 0: the empty subset has an empty, invertible walk matrix
+    assert (rows[0].controllable_subsets, rows[0].total_subsets) == (1, 1)
+    assert (rows[1].controllable_subsets, rows[1].total_subsets) == (1, 2)
+
+
+def test_subsets_consistency_failure_names_the_line(monkeypatch):
+    real = control.krylov_columns
+
+    def off_by_one_for_ones(rows, z, count):
+        cols = real(rows, z, count)
+        if all(x == 1 for x in z):
+            cols[0][0] += 1
+        return cols
+
+    monkeypatch.setattr(control, "krylov_columns", off_by_one_for_ones)
+    # A? has a double eigenvalue: the bound decides it and no walk runs
+    failure = r"line 2 \(Bg\): summed vertex walk columns"
+    with pytest.raises(InternalConsistencyError, match=failure):
+        run_census(["A?", "Bg"], CensusConfig(modes=("subsets",)))
 
 
 def test_max_n_guard():

@@ -8,6 +8,7 @@ from ctrlgraph.control import (
     algebra_basis_check,
     cone_charpoly_identity,
     cone_transfer_check,
+    controllable_subset_count,
     full_report,
     graph_char_poly,
     is_charpoly_irreducible,
@@ -33,7 +34,13 @@ from ctrlgraph.matrices import int_det, inverse
 from ctrlgraph.polys import interpolate_fractions, mul, poly_gcd, sub
 
 from conftest import all_graphs_upto, all_subsets, census_graphs
-from oracles import distinct_pole_count, pair_rational_function
+from oracles import (
+    distinct_pole_count,
+    distinct_root_count,
+    naive_power_rank,
+    pair_rational_function,
+    subset_count_by_rank,
+)
 
 K1 = Graph.from_edges(1, ())
 
@@ -232,3 +239,30 @@ def test_from_vector_validation():
     # integral Fractions are integers
     p = PairSpec.from_vector(path(3), [Fraction(2), 0, Fraction(-1)])
     assert p.vector == (2, 0, -1) and p.subset is None
+
+
+def test_subset_count_matches_per_subset_loop():
+    graphs = [*all_graphs_upto(6), *census_graphs(7)[::7]]
+    for g in graphs:
+        assert controllable_subset_count(g) == subset_count_by_rank(g), g
+    assert controllable_subset_count(Graph.from_edges(0, ())) == 1  # the empty subset
+    assert controllable_subset_count(K1) == 1
+
+
+def test_walk_rank_bounded_by_minimal_polynomial_degree():
+    # every column A^k z lies in {p(A) z : deg p < d}, d = rank of I, A, ...,
+    # A^{v-1} = deg of A's minimal polynomial = number of distinct eigenvalues
+    for g in all_graphs_upto(5):
+        d = naive_power_rank(g.rows)
+        assert d == distinct_root_count(graph_char_poly(g)), g
+        for s in all_subsets(g.v):
+            assert walk_matrix_rank(PairSpec.from_subset(g, s)) <= d, (g, s)
+
+
+def test_repeated_eigenvalue_means_no_controllable_subset():
+    for n in range(3, 9):
+        assert controllable_subset_count(complete(n)) == 0
+    for n in range(2, 9):
+        assert controllable_subset_count(empty(n)) == 0
+    for n in range(1, 9):
+        assert controllable_subset_count(path(n)) > 0

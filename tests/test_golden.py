@@ -65,10 +65,20 @@ LTI_SPEC = {
 }
 LTI = "9a698af7f8613ea9461acc6483e3fa012babe9ba41e1c1fdf2d47771a88c87c3"
 
-SUBSETS_N5 = (
-    "e95c7d5e415329558f72e0ff7e755d6fe7936a248c2f5651ba302542528a10f5",
-    "6a1862c947b35945748302cc892ae56f44a5e4c841c71a96294adce213716aed",
-)
+SUBSETS = {
+    5: (
+        "e95c7d5e415329558f72e0ff7e755d6fe7936a248c2f5651ba302542528a10f5",
+        "6a1862c947b35945748302cc892ae56f44a5e4c841c71a96294adce213716aed",
+    ),
+    6: (
+        "af51579fd3292c9b3a75554fcdfeeb3e22f7f6c6254bc3f87b0c85b424dd23b0",
+        "be1a8f842ecac610a48c5c684c6a1405b8c8b471837d37a1dcfbe07e08c81194",
+    ),
+    7: (
+        "83b0c694f2b25cf7e2f92d214699f78e7d27d97d1d6f3500be20b330278d0978",
+        "dc7752c9af404e931e7866ae052447b0de449b9440dc416e2d3e17543c204a87",
+    ),
+}
 
 
 def digest(path) -> str:
@@ -104,8 +114,16 @@ def test_census_bytes_at_two_workers(tmp_path):
 
 
 def test_census_subsets_bytes(tmp_path):
-    csv, summary = census_digests(tmp_path, DATA_DIR / "graphs5.g6", "--mode", "subsets")
-    assert (csv, summary) == SUBSETS_N5
+    # the Gray-code count must give the bytes of one rank test per subset
+    for n, pins in SUBSETS.items():
+        source = DATA_DIR / f"graphs{n}.g6"
+        assert census_digests(tmp_path, source, "--mode", "subsets") == pins, n
+
+
+def test_census_subsets_bytes_at_two_workers(tmp_path):
+    source = DATA_DIR / "graphs7.g6"
+    digests = census_digests(tmp_path, source, "--mode", "subsets", workers=2)
+    assert digests == SUBSETS[7]
 
 
 @pytest.mark.parametrize("graph6", sorted(ANALYZE))
