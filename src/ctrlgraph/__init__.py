@@ -13,7 +13,7 @@ from .errors import Graph6Error, InternalConsistencyError
 from .graphs import Graph, complement, cone, emit_graph6, parse_graph6, path_extension
 from .matrices import char_poly, mat_rank
 from .pairiso import canonical_walk_matrix, pairs_isomorphic, q_matrix
-from .polys import RationalFunction, poly_gcd, poly_squarefree
+from .polys import poly_gcd, poly_squarefree, reduce_ratio
 
 __all__ = [
     "ControllabilityReport",
@@ -21,7 +21,6 @@ __all__ = [
     "Graph6Error",
     "InternalConsistencyError",
     "PairSpec",
-    "RationalFunction",
     "canonical_walk_matrix",
     "char_poly",
     "complement",
@@ -38,5 +37,6 @@ __all__ = [
     "q_matrix",
     "poly_gcd",
     "poly_squarefree",
+    "reduce_ratio",
     "walk_matrix",
 ]

@@ -126,9 +126,12 @@ def run_census(lines, config: CensusConfig):
         for i, line in enumerate(lines)
         if line.strip()
     ]
-    if config.workers > 1:
-        with multiprocessing.Pool(config.workers) as pool:
-            rows = list(pool.imap(analyze_line, tasks, chunksize=64))
+    # a worker beyond one per chunk would only sit idle
+    chunksize = 64
+    workers = min(config.workers, -(-len(tasks) // chunksize))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
+            rows = list(pool.imap(analyze_line, tasks, chunksize=chunksize))
     else:
         rows = [analyze_line(t) for t in tasks]
     return rows, summarize(rows)

@@ -226,14 +226,11 @@ def cmd_lti(args) -> int:
         "controllable": lti_mod.is_controllable(sys_.a, sys_.b),
         "observable": lti_mod.is_observable(sys_.a, sys_.c),
     }
-    try:
-        tf = lti_mod.transfer_function(sys_)
-        doc["transfer_function"] = {
-            "numerator": [str(x) for x in tf.num],
-            "denominator": [str(x) for x in tf.den],
-        }
-    except ValueError as exc:
-        doc["transfer_function"] = {"error": str(exc)}
+    num, den = lti_mod.transfer_function(sys_)
+    doc["transfer_function"] = {
+        "numerator": [str(x) for x in num],
+        "denominator": [str(x) for x in den],
+    }
     if len(inputs) >= order:
         ok, first_bad = lti_mod.generating_identity_check(sys_, inputs, order)
         doc["generating_identity"] = {"ok": ok, "first_mismatch": first_bad}

@@ -1,9 +1,10 @@
 """Discrete single-input single-output linear systems, exactly.
 
-State recurrence x_{n+1} = A x_n + u_n b with output c^T x_n.  Everything
-is rational arithmetic: trajectories, Kalman matrices, the transfer
-function c^T (I - tA)^{-1} b as a ratio of integer polynomials, and exact
-state recovery from an invertible observability matrix.
+State recurrence x_{n+1} = A x_n + u_n b with output c^T x_n, over the
+rationals.  Trajectories and Kalman matrices use the entries as given
+(ints or Fractions); ranks and state recovery go through `mat_rank` and
+`solve`.  The transfer function c^T (I - tA)^{-1} b scales the system to
+integers once and is a (num, den) pair of integer polynomials.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .matrices import (
     solve,
     transpose,
 )
-from .polys import RationalFunction, trim
+from .polys import reduce_ratio, trim
 
 
 @dataclass(frozen=True)
@@ -87,20 +88,24 @@ def is_observable(a: Sequence[Sequence], c: Sequence) -> bool:
     return mat_rank(observability_matrix(a, c)) == len(a)
 
 
-def transfer_function(sys: DiscreteSystem) -> RationalFunction:
-    """c^T (I - tA)^{-1} b, exactly.
+def transfer_function(sys: DiscreteSystem) -> tuple:
+    """c^T (I - tA)^{-1} b as a (num, den) pair in lowest terms.
 
-    Built by reversing the coefficients of the adjugate numerator and the
-    characteristic polynomial: det(I - tA) = t^d phi(1/t).
+    A = B/D, b and c are scaled to integers once.  The integer pass on B
+    gives phi and psi = c^T adj(tI - B) b; reversing both against degree d
+    gives c^T (I - tB)^{-1} b, since det(I - tB) = t^d phi(1/t) and psi's d
+    coefficients pick up t^{d-1}.  Multiplying coefficient k of both by
+    D^(d-k) then substitutes t/D for t, as I - tA = I - (t/D) B.
     """
-    phi, bs = adjugate_samples(sys.a)
-    psi, scale = clear_denominators(bilinear_numerator_fractions(bs, sys.c, sys.b))
-    # reverse both against degree d (psi has d coefficients, phi d + 1):
-    # the numerator picks up t^{d-1}, so the extra factor of t in
-    # (1/t) phi_rev cancels cleanly
-    num_rev = trim(reversed(psi))
-    den_rev = trim(scale * c for c in reversed(phi))
-    return RationalFunction(num_rev, den_rev).normalize()
+    d = sys.dim
+    flat, scale_a = clear_denominators([x for r in sys.a for x in r])
+    b, scale_b = clear_denominators(sys.b)
+    c, scale_c = clear_denominators(sys.c)
+    phi, bs = adjugate_samples([flat[i * d : (i + 1) * d] for i in range(d)])
+    psi = bilinear_numerator_fractions(bs, c, b)
+    num = [x * scale_a ** (d - k) for k, x in enumerate(reversed(psi))]
+    den = [scale_b * scale_c * x * scale_a ** (d - k) for k, x in enumerate(reversed(phi))]
+    return reduce_ratio(trim(num), trim(den))
 
 
 def generating_identity_check(sys: DiscreteSystem, inputs: Sequence, order: int):

@@ -2,13 +2,14 @@
 
 A matrix is a sequence of rows, the one matrix format of the library; every
 matrix returned here is a tuple of row tuples, so results compare with ==.
-Entries are Python ints or Fractions (ints are kept as ints so the common
-all-integer case stays on the fast path).  Fraction-free Bareiss
-elimination is the one row reduction: it gives rank and determinant, and
-`solve` and `inverse` run it on the integer rows of (m | R) before an
-integer back substitution.  The characteristic polynomial and the
-adjugate of tI - A come together from one integer Faddeev-LeVerrier pass
-over the rows of A, as phi(t) and the coefficient matrices B_k of
+Entries are Python ints; `mat_rank`, `solve` and `inverse` also take
+Fractions, which `clear_denominators` scales away row by row, and `solve`
+and `inverse` return Fractions.  Fraction-free Bareiss elimination is the
+one row reduction: it gives rank and determinant, and `solve` and
+`inverse` run it on the integer rows of (m | R) before an integer back
+substitution.  The characteristic polynomial and the adjugate of tI - A
+come together from one integer Faddeev-LeVerrier pass over the integer
+rows of A, as phi(t) and the coefficient matrices B_k of
 adj(tI - A) = sum B_k t^k; phi is a coefficient tuple, low degree first,
 in the polynomial format of `polys`.  The pass keeps no state, so its
 caller holds on to the result and passes it down.
@@ -156,7 +157,8 @@ def inverse(m: Sequence[Sequence]) -> tuple:
 def adjugate_samples(rows: Sequence[Sequence]) -> tuple:
     """(phi, (B_0, ..., B_{n-1})) for a square integer matrix A given by its
     rows, where phi = det(tI - A) is a coefficient tuple, low degree first,
-    and adj(tI - A) = sum_k B_k t^k, each B_k a tuple of integer rows.  Integral Fractions are accepted.
+    and adj(tI - A) = sum_k B_k t^k, each B_k a tuple of integer rows.  A
+    rational A is scaled to integers by its caller (`clear_denominators`).
 
     One integer Faddeev-LeVerrier pass: M_1 = I; for j = 1..n:
     c_{n-j} = -tr(A M_j)/j, B_{n-j} = M_j and M_{j+1} = A M_j + c_{n-j} I.
@@ -167,11 +169,9 @@ def adjugate_samples(rows: Sequence[Sequence]) -> tuple:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("adjugate of a non-square matrix")
-    if not all(
-        isinstance(x, (int, Fraction)) and x.denominator == 1 for r in rows for x in r
-    ):
+    if not all(isinstance(x, int) for r in rows for x in r):
         raise ValueError("integer matrix required")
-    nonzero = [[(k, int(x)) for k, x in enumerate(r) if x] for r in rows]
+    nonzero = [[(k, x) for k, x in enumerate(r) if x] for r in rows]
     coeffs = [0] * n + [1]
     bs = [None] * n
     m = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -204,7 +204,7 @@ def char_poly(rows: Sequence[Sequence]) -> tuple:
 
 def bilinear_numerator_fractions(bs: Sequence, y: Sequence, z: Sequence) -> tuple:
     """Coefficients (low first, dim many) of y^T adj(tI - A) z, from the B_k
-    of adjugate_samples: ints for integer vectors, Fractions otherwise."""
+    of adjugate_samples."""
     n = len(bs)
     if len(y) != n or len(z) != n:
         raise ValueError("shape mismatch")

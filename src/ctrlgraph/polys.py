@@ -6,7 +6,10 @@ and f[-1] the leading coefficient.  Tuples compare and hash by value, and
 every function here returns a trimmed tuple.  All arithmetic is exact
 (Python big ints), and gcds use the primitive remainder sequence so
 intermediate coefficients do not blow up the way naive rational
-elimination would.
+elimination would.  A rational function is a (num, den) pair of such
+tuples, put in lowest terms by `reduce_ratio`.  Rationals appear only as
+the Fraction coefficients `interpolate_fractions` reads off one
+`matrices.solve`.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 import math
 from itertools import zip_longest
 from typing import Iterable, Sequence
+
+from .matrices import solve
 
 
 def trim(coeffs: Iterable[int]) -> tuple:
@@ -134,9 +139,8 @@ def poly_squarefree(f: tuple) -> bool:
 
 def interpolate_fractions(points: Sequence[int], values: Sequence) -> tuple:
     """Coefficients (low first, Fractions) of the unique polynomial of
-    degree < len(points) through the given (point, value) data."""
-    from fractions import Fraction
-
+    degree < len(points) through the given (point, value) data: one exact
+    `solve` on the Vandermonde rows."""
     if len(points) != len(values):
         raise ValueError("points/values length mismatch")
     n = len(points)
@@ -144,59 +148,20 @@ def interpolate_fractions(points: Sequence[int], values: Sequence) -> tuple:
         raise ValueError("interpolation points must be distinct")
     if n == 0:
         return ()
-    # Newton's divided differences, then expand to the monomial basis.
-    dd = [Fraction(v) for v in values]
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (points[i] - points[i - level])
-    coeffs = [Fraction(0)] * n
-    # Horner on the Newton form: p = dd[n-1]; p = p*(t - x_i) + dd[i]
-    coeffs[0] = dd[n - 1]
-    deg = 0
-    for i in range(n - 2, -1, -1):
-        # multiply current poly by (t - points[i])
-        for k in range(deg, -1, -1):
-            coeffs[k + 1] += coeffs[k]
-            coeffs[k] = -points[i] * coeffs[k]
-        deg += 1
-        coeffs[0] += dd[i]
-    return tuple(coeffs)
+    return tuple(solve([[x**k for k in range(n)] for x in points], values))
 
 
-class RationalFunction:
-    """Ratio of two integer polynomials; denominator nonzero."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: tuple, den: tuple):
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        self.num = num
-        self.den = den
-
-    def normalize(self) -> "RationalFunction":
-        """Cancel the gcd and make the denominator's leading coefficient
-        positive; 0/f collapses to 0/1."""
-        if not self.num:
-            return RationalFunction((), (1,))
-        g = poly_gcd(self.num, self.den)
-        num = exact_div(self.num, g)
-        den = exact_div(self.den, g)
-        c = math.gcd(*num, *den)
-        if den[-1] < 0:
-            c = -c
-        return RationalFunction(
-            tuple(a // c for a in num), tuple(a // c for a in den)
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return mul(self.num, other.den) == mul(other.num, self.den)
-
-    def __hash__(self):
-        r = self.normalize()
-        return hash((r.num, r.den))
-
-    def __repr__(self):
-        return f"RationalFunction({self.num!r}, {self.den!r})"
+def reduce_ratio(num: Sequence[int], den: Sequence[int]) -> tuple:
+    """(num, den) in lowest terms: the gcd cancelled, the content divided
+    out and den's leading coefficient positive; 0/f is ((), (1,))."""
+    if not den:
+        raise ZeroDivisionError("rational function with zero denominator")
+    if not num:
+        return (), (1,)
+    g = poly_gcd(num, den)
+    num = exact_div(num, g)
+    den = exact_div(den, g)
+    c = math.gcd(*num, *den)
+    if den[-1] < 0:
+        c = -c
+    return tuple(a // c for a in num), tuple(a // c for a in den)

@@ -13,12 +13,12 @@ from ctrlgraph.control import (
     numerator_poly,
 )
 from ctrlgraph.polys import (
-    RationalFunction,
     derivative,
     exact_div,
     mul,
     poly_gcd,
     primitive,
+    reduce_ratio,
 )
 
 
@@ -155,17 +155,17 @@ def distinct_root_count(f):
     return len(squarefree_part(f)) - 1
 
 
-def distinct_pole_count(r):
-    """Distinct roots of the denominator of r after cancellation."""
-    r = r.normalize()
-    if len(r.den) == 1:
+def distinct_pole_count(num, den):
+    """Distinct roots of the denominator of num/den after cancellation."""
+    _, den = reduce_ratio(num, den)
+    if len(den) == 1:
         return 0
-    return distinct_root_count(r.den)
+    return distinct_root_count(den)
 
 
 def pair_rational_function(p):
-    """z^T (tI-A)^{-1} z as an exact ratio of integer polynomials."""
-    return RationalFunction(numerator_poly(p), graph_char_poly(p.graph))
+    """z^T (tI-A)^{-1} z as an exact (num, den) pair of integer polynomials."""
+    return numerator_poly(p), graph_char_poly(p.graph)
 
 
 # Graphs as plain edge sets: pairs (i, j) with i < j.

@@ -24,7 +24,7 @@ def test_small_counts():
 
 
 def test_worker_count_does_not_change_output():
-    lines = list(census_lines(5))
+    lines = list(census_lines(6))  # 156 lines, 3 chunks: the pool runs
     rows1, sum1 = run_census(lines, CensusConfig(workers=1))
     rows3, sum3 = run_census(lines, CensusConfig(workers=3))
     assert rows_to_csv(rows1) == rows_to_csv(rows3)
@@ -32,11 +32,44 @@ def test_worker_count_does_not_change_output():
 
 
 def test_detail_rows_reverify_single_threaded():
-    lines = list(census_lines(6))[::13]
+    lines = list(census_lines(6))  # 3 chunks, so 2 workers start
     rows, _ = run_census(lines, CensusConfig(workers=2))
     for row, line in zip(rows, lines):
         again = census.analyze_line((row.line, line, ("full", "vertices"), None))
         assert row == again
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records the requested size and
+    maps in this process, so no worker starts."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, func, tasks, chunksize):
+        return map(func, tasks)
+
+
+def test_pool_size_is_capped_by_chunk_count(monkeypatch):
+    monkeypatch.setattr(census.multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    three = list(census_lines(3))[:3]
+    rows, _ = run_census(three, CensusConfig(workers=64))
+    assert len(rows) == 3 and _RecordingPool.sizes == []  # one chunk: serial
+    lines = list(census_lines(6))  # 156 lines: 3 chunks of 64
+    serial = rows_to_csv(run_census(lines, CensusConfig(workers=1))[0])
+    pooled = rows_to_csv(run_census(lines, CensusConfig(workers=64))[0])
+    assert _RecordingPool.sizes == [3] and pooled == serial
+    run_census(lines, CensusConfig(workers=2))
+    assert _RecordingPool.sizes == [3, 2]
 
 
 def test_malformed_line_recorded():

@@ -10,10 +10,22 @@ from ctrlgraph.control import graph_char_poly
 from ctrlgraph.errors import InternalConsistencyError
 from ctrlgraph.graphs import complete, emit_graph6, path
 
+from test_golden import LTI_SPEC
+
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
 
 P3 = emit_graph6(path(3))
 P5 = emit_graph6(path(5))
+
+K2_SYSTEM = {"a": [[0, 1], [1, 0]], "b": [1, 0], "c": [1, 0]}
+RATIONAL_A_SPEC = {"a": [["1/2", 0], [1, 0]], "b": [1, 0], "c": [0, 1]}
+SINGULAR_RECOVERY_SPEC = {
+    "a": [[1, 0], [0, 1]],
+    "b": [1, 0],
+    "c": [1, 0],
+    "recover": {"outputs": [1, 1], "m": 0},
+}
+SKIPPED_IDENTITY_SPEC = {**K2_SYSTEM, "inputs": [1, 2], "order": 9}
 
 
 def run(argv, tmp_path, name="out.json"):
@@ -247,11 +259,7 @@ def test_isocheck_refuses_multi_subset_selectors(tmp_path, capsys):
 
 def test_lti_k2_transfer(tmp_path):
     spec = tmp_path / "sys.json"
-    spec.write_text(json.dumps({
-        "a": [[0, 1], [1, 0]],
-        "b": [1, 0],
-        "c": [1, 0],
-    }))
+    spec.write_text(json.dumps(K2_SYSTEM))
     code, text = run(["lti", str(spec)], tmp_path)
     assert code == cli.EXIT_OK
     doc = json.loads(text)
@@ -278,12 +286,7 @@ def test_lti_recovery_and_singular_case(tmp_path):
     assert doc["recovered_state"]["state"] == ["3", "5/2"]
     assert doc["generating_identity"]["ok"] is True
 
-    spec.write_text(json.dumps({
-        "a": [[1, 0], [0, 1]],
-        "b": [1, 0],
-        "c": [1, 0],
-        "recover": {"outputs": [1, 1], "m": 0},
-    }))
+    spec.write_text(json.dumps(SINGULAR_RECOVERY_SPEC))
     code, text = run(["lti", str(spec)], tmp_path)
     assert code == cli.EXIT_OK
     doc = json.loads(text)
@@ -293,13 +296,7 @@ def test_lti_recovery_and_singular_case(tmp_path):
 
 def test_lti_reports_a_skipped_generating_identity(tmp_path):
     spec = tmp_path / "sys.json"
-    spec.write_text(json.dumps({
-        "a": [[0, 1], [1, 0]],
-        "b": [1, 0],
-        "c": [1, 0],
-        "inputs": [1, 2],
-        "order": 9,
-    }))
+    spec.write_text(json.dumps(SKIPPED_IDENTITY_SPEC))
     code, text = run(["lti", str(spec)], tmp_path)
     assert code == cli.EXIT_OK
     assert json.loads(text)["generating_identity"] == {
@@ -308,18 +305,27 @@ def test_lti_reports_a_skipped_generating_identity(tmp_path):
 
 
 def test_lti_non_integer_state_matrix(tmp_path):
-    # the transfer function needs an integer A; the rest of the report stays
+    # A is scaled to integers once; 2t/(2 - t) in lowest terms
     spec = tmp_path / "sys.json"
-    spec.write_text(json.dumps({
-        "a": [["1/2", 0], [1, 0]],
-        "b": [1, 0],
-        "c": [0, 1],
-    }))
+    spec.write_text(json.dumps(RATIONAL_A_SPEC))
     code, text = run(["lti", str(spec)], tmp_path)
     assert code == cli.EXIT_OK
     doc = json.loads(text)
     assert doc["controllable"] is True and doc["observable"] is True
-    assert "error" in doc["transfer_function"]
+    tf = doc["transfer_function"]
+    assert tf["numerator"] == ["0", "-2"]
+    assert tf["denominator"] == ["-2", "1"]
+
+
+def test_lti_report_schema(tmp_path):
+    schema = json.loads((DOCS / "lti_report.schema.json").read_text())
+    spec = tmp_path / "sys.json"
+    specs = (LTI_SPEC, RATIONAL_A_SPEC, SINGULAR_RECOVERY_SPEC, SKIPPED_IDENTITY_SPEC)
+    for system in specs:
+        spec.write_text(json.dumps(system))
+        code, text = run(["lti", str(spec)], tmp_path)
+        assert code == cli.EXIT_OK
+        jsonschema.validate(json.loads(text), schema)
 
 
 def test_lti_rejects_json_booleans(tmp_path):

@@ -134,9 +134,9 @@ def test_poles_characterization_examples():
 
 def test_pair_rational_function_pole_count():
     r = pair_rational_function(PairSpec.from_subset(path(3), [0]))
-    assert distinct_pole_count(r) == 3
+    assert distinct_pole_count(*r) == 3
     r4 = pair_rational_function(PairSpec.from_subset(cycle(4), [0]))
-    assert distinct_pole_count(r4) < 4
+    assert distinct_pole_count(*r4) < 4
 
 
 def test_vertex_controllable():

@@ -70,7 +70,7 @@ def test_bordered_rank_is_module_dim_plus_one():
 def test_pole_count_matches_module_dimension():
     from ctrlgraph.graphs import laplacian_rows
     from ctrlgraph.matrices import adjugate_samples, bilinear_numerator_fractions
-    from ctrlgraph.polys import RationalFunction, trim
+    from ctrlgraph.polys import trim
 
     from oracles import distinct_pole_count
 
@@ -81,7 +81,7 @@ def test_pole_count_matches_module_dimension():
             h = [0] * 4
             h[i], h[j] = 1, -1
             psi = trim(bilinear_numerator_fractions(bs, h, h))
-            poles = distinct_pole_count(RationalFunction(psi, lap_poly))
+            poles = distinct_pole_count(psi, lap_poly)
             assert poles == h_module_dimension(g, i, j)
 
 

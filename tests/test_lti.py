@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from ctrlgraph.lti import (
     DiscreteSystem,
@@ -16,7 +18,7 @@ from ctrlgraph.lti import (
     transfer_function,
 )
 from ctrlgraph.matrices import char_poly, mat_rank, mat_vec, transpose
-from ctrlgraph.polys import RationalFunction, divides, mul, trim
+from ctrlgraph.polys import divides, mul, reduce_ratio, trim
 
 K2 = [[0, 1], [1, 0]]
 P3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
@@ -84,14 +86,41 @@ def test_observability_equals_controllability_for_symmetric():
 
 def test_transfer_function_k2():
     sys = DiscreteSystem.create(K2, [1, 0], [1, 0])
-    tf = transfer_function(sys)
-    assert tf == RationalFunction((1,), (1, 0, -1))  # 1/(1-t^2)
+    # 1/(1 - t^2), denominator's leading coefficient made positive
+    assert transfer_function(sys) == ((-1,), (-1, 0, 1))
 
 
 def test_transfer_function_zero_b():
     sys = DiscreteSystem.create(K2, [0, 0], [1, 0])
-    tf = transfer_function(sys)
-    assert tf.normalize().num == ()
+    assert transfer_function(sys) == ((), (1,))
+
+
+def _random_rational(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+
+
+def test_transfer_function_matches_sympy_on_rational_systems():
+    t = sympy.Symbol("t")
+
+    def poly(coeffs):
+        return sympy.Poly(sum(x * t**k for k, x in enumerate(coeffs)), t)
+
+    rng = random.Random(11)
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        a = [[_random_rational(rng) for _ in range(d)] for _ in range(d)]
+        b = [_random_rational(rng) for _ in range(d)]
+        c = [_random_rational(rng) for _ in range(d)]
+        num, den = transfer_function(DiscreteSystem.create(a, b, c))
+        # c^T adj(I - tA) b / det(I - tA) over QQ[t], cancelled by sympy
+        m = DomainMatrix.from_Matrix(sympy.eye(d) - t * sympy.Matrix(a))
+        adj, det = m.adj_det()
+        p = sympy.Poly((sympy.Matrix([c]) * adj.to_Matrix() * sympy.Matrix(b))[0], t)
+        p, q = p.cancel(sympy.Poly(m.domain.to_sympy(det), t), include=True)
+        assert p * poly(den) == q * poly(num)
+        # both in lowest terms, so the denominators have one degree
+        assert (num, den) == reduce_ratio(num, den)
+        assert p.is_zero or q.degree() == len(den) - 1
 
 
 def test_transfer_denominator_is_reversed_charpoly():
@@ -99,13 +128,13 @@ def test_transfer_denominator_is_reversed_charpoly():
     for _ in range(10):
         d = rng.randint(1, 5)
         sys = random_system(rng, d)
-        tf = transfer_function(sys)
+        num, den = transfer_function(sys)
         phi = char_poly(sys.a)
         rev = trim(reversed(phi))
         # denominators agree as rational functions (up to the cancelled gcd)
-        lhs = RationalFunction(mul(tf.num, rev), tf.den)
-        num_part = lhs.normalize()
-        assert len(num_part.den) == 1 or divides(tf.den, mul(rev, tf.num))
+        assert len(reduce_ratio(mul(num, rev), den)[1]) == 1 or divides(
+            den, mul(rev, num)
+        )
 
 
 def test_generating_identity_random_systems():

@@ -129,10 +129,10 @@ def test_char_poly_requires_square():
 
 
 def test_adjugate_samples_requires_integral_rows():
-    # integral Fractions are integers; anything else is refused
-    assert adjugate_samples([[Fraction(2), 1], [1, Fraction(0)]]) == adjugate_samples(
-        [[2, 1], [1, 0]]
-    )
+    # int rows only: a rational matrix is scaled to integers by its caller,
+    # so even an integral Fraction is refused
+    with pytest.raises(ValueError, match="integer matrix required"):
+        adjugate_samples([[Fraction(2), 1], [1, 0]])
     with pytest.raises(ValueError):
         adjugate_samples([[Fraction(1, 2), 0], [1, 0]])
     with pytest.raises(ValueError):
