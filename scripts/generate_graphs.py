@@ -3,43 +3,30 @@
 
 Augmentation: every graph on n vertices arises from some graph on n-1
 vertices by adding one vertex with some neighbourhood, so extend each
-(n-1)-representative by all 2^(n-1) neighbourhoods, bucket candidates by a
-cheap invariant (degree profile + rounded spectrum) and deduplicate inside
-buckets with VF2.  Output lines are sorted by (edge count, graph6 string),
-so the files are reproducible byte for byte.
+(n-1)-representative by all 2^(n-1) neighbourhoods, bucket candidates by
+an exact invariant (vertex profiles and characteristic polynomial) and
+keep a candidate only when `graphs.isomorphisms` finds no bijection onto
+any graph already in its bucket.  Output lines are sorted by (edge count,
+graph6 string), so the files are reproducible byte for byte.  Runs on the
+library alone.
 
 Expected counts per n: 1, 2, 4, 11, 34, 156, 1044, 12346.
 """
 
-import itertools
 import pathlib
 import sys
 
-import networkx as nx
-import numpy as np
-
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from ctrlgraph.graphs import Graph, emit_graph6
+from ctrlgraph.graphs import Graph, emit_graph6, empty, isomorphisms, vertex_profiles
+from ctrlgraph.matrices import char_poly
 
 EXPECTED = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 MAX_N = 8
 
 
-def to_nx(edges, n):
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(edges)
-    return g
-
-
-def invariant(g: nx.Graph):
-    degs = sorted(d for _, d in g.degree())
-    nbr_profile = tuple(
-        sorted(tuple(sorted(g.degree(w) for w in g.neighbors(u))) for u in g.nodes())
-    )
-    spec = tuple(np.round(np.sort(np.linalg.eigvalsh(nx.to_numpy_array(g))), 6))
-    return (tuple(degs), nbr_profile, spec)
+def bucket_key(g: Graph):
+    return tuple(sorted(vertex_profiles(g))), char_poly(g.rows)
 
 
 def augment(reps, n):
@@ -47,34 +34,31 @@ def augment(reps, n):
     buckets = {}
     for parent in reps:
         for mask_bits in range(2 ** (n - 1)):
-            edges = list(parent.edges()) + [
-                (k, n - 1) for k in range(n - 1) if mask_bits >> k & 1
-            ]
-            cand = to_nx(edges, n)
-            key = invariant(cand)
-            bucket = buckets.setdefault(key, [])
-            if not any(nx.is_isomorphic(cand, seen) for seen in bucket):
+            new = tuple(mask_bits >> k & 1 for k in range(n - 1))
+            cand = Graph((*(r + (x,) for r, x in zip(parent.rows, new)), new + (0,)))
+            bucket = buckets.setdefault(bucket_key(cand), [])
+            if all(next(isomorphisms(cand, seen), None) is None for seen in bucket):
                 bucket.append(cand)
     return [g for bucket in buckets.values() for g in bucket]
+
+
+def file_text(reps) -> str:
+    """The graph6 lines of reps, sorted by (edge count, graph6 string)."""
+    lines = sorted((len(g.edges), emit_graph6(g)) for g in reps)
+    return "".join(line + "\n" for _, line in lines)
 
 
 def main():
     out_dir = pathlib.Path(__file__).resolve().parent.parent / "data"
     out_dir.mkdir(exist_ok=True)
-    reps = [to_nx([], 1)]
+    reps = [empty(1)]
     for n in range(1, MAX_N + 1):
         if n > 1:
             reps = augment(reps, n)
         if len(reps) != EXPECTED[n]:
-            raise SystemExit(
-                f"n={n}: generated {len(reps)} graphs, expected {EXPECTED[n]}"
-            )
-        lines = sorted(
-            (g.number_of_edges(), emit_graph6(Graph.from_edges(n, g.edges())))
-            for g in reps
-        )
+            raise SystemExit(f"n={n}: generated {len(reps)} graphs, expected {EXPECTED[n]}")
         path = out_dir / f"graphs{n}.g6"
-        path.write_text("".join(line + "\n" for _, line in lines))
+        path.write_text(file_text(reps))
         print(f"n={n}: {len(reps)} graphs -> {path}")
 
 

@@ -15,7 +15,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from ctrlgraph.census import CensusConfig, run_census, rows_to_csv
+from ctrlgraph.census import CensusConfig, pool_size, run_census, rows_to_csv
 
 
 def main():
@@ -37,7 +37,8 @@ def main():
     rows, summary = run_census(lines, CensusConfig(workers=args.workers))
     elapsed = time.monotonic() - t0
 
-    print(f"{len(lines)} graphs, {args.workers} workers, {elapsed:.1f}s")
+    workers = pool_size(args.workers, len(lines))
+    print(f"{len(lines)} graphs, {workers} worker{'s' * (workers != 1)}, {elapsed:.1f}s")
     print()
     print(f"{'n':>2} {'graphs':>7} {'controllable':>12} {'fraction':>9} "
           f"{'ctrl vertex':>11} {'irred poly':>10}")

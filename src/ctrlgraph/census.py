@@ -21,6 +21,7 @@ from .errors import Graph6Error, InternalConsistencyError
 from .graphs import parse_graph6
 
 SUBSET_GUARD = 16
+CHUNKSIZE = 64
 
 CSV_COLUMNS = [
     "line",
@@ -119,6 +120,11 @@ def analyze_line(task) -> CensusRow:
     return row
 
 
+def pool_size(workers: int, tasks: int) -> int:
+    """Processes that run `tasks` lines, at most one per chunk; 1 is serial."""
+    return max(1, min(workers, -(-tasks // CHUNKSIZE)))
+
+
 def run_census(lines, config: CensusConfig):
     """Analyze every line; returns (rows, summary) in input order."""
     tasks = [
@@ -126,12 +132,10 @@ def run_census(lines, config: CensusConfig):
         for i, line in enumerate(lines)
         if line.strip()
     ]
-    # a worker beyond one per chunk would only sit idle
-    chunksize = 64
-    workers = min(config.workers, -(-len(tasks) // chunksize))
+    workers = pool_size(config.workers, len(tasks))
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            rows = list(pool.imap(analyze_line, tasks, chunksize=chunksize))
+            rows = list(pool.imap(analyze_line, tasks, chunksize=CHUNKSIZE))
     else:
         rows = [analyze_line(t) for t in tasks]
     return rows, summarize(rows)

@@ -111,6 +111,8 @@ def cmd_analyze(args) -> int:
 def cmd_census(args) -> int:
     if args.workers < 1:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
+    if args.max_n is not None and args.max_n < 0:
+        raise CliError(f"--max-n must be at least 0, got {args.max_n}")
     try:
         if args.input:
             with open(args.input) as fh:

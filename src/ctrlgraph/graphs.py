@@ -5,8 +5,9 @@ A graph is its adjacency matrix, the one graph format of the library:
 in the row format of `matrices`, so kernels take it as it is.  The vertex
 count and the edge set are read from the rows.  Covers the constructions
 the rest of the library needs: Laplacian rows, complement, cones and path
-extensions, brute-force automorphisms for small graphs, BFS covering
-radii, and graph6 parsing/emission.
+extensions, an exact isomorphism search (automorphisms are its
+isomorphisms of a graph to itself), BFS covering radii, and graph6
+parsing/emission.
 """
 
 from __future__ import annotations
@@ -138,42 +139,48 @@ def path_extension(g: Graph, members: Iterable[int], k: int) -> tuple[Graph, int
     return g, 0
 
 
-def automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """All automorphisms by backtracking, as permutation tuples.
-
-    Candidates are pruned by (degree, sorted neighbour degrees) before the
-    search; fine at census scale, deliberately not a canonical-labelling
-    engine.
-    """
-    if g.v > AUTOMORPHISM_BOUND:
-        raise ValueError(f"automorphism search capped at {AUTOMORPHISM_BOUND} vertices")
-    n = g.v
-    rows = g.rows
+def vertex_profiles(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
+    """Per vertex, (degree, sorted neighbour degrees): an isomorphism
+    invariant, so a bijection between graphs must preserve it."""
     deg = g.degrees()
-    inv = [(deg[u], tuple(sorted(d for d, x in zip(deg, rows[u]) if x))) for u in range(n)]
-    candidates = [
-        [w for w in range(n) if inv[w] == inv[u]] for u in range(n)
-    ]
-    found = []
+    return [(d, tuple(sorted(e for e, x in zip(deg, r) if x))) for d, r in zip(deg, g.rows)]
+
+
+def isomorphisms(g: Graph, h: Graph):
+    """Lazily yield every perm with h == g.relabel(perm), as tuples.
+
+    Exact backtracking over the vertices of g in order; each vertex only
+    tries the vertices of h with its profile.
+    """
+    n = g.v
+    if h.v != n:
+        return
+    a, b = g.rows, h.rows
+    hp = vertex_profiles(h)
+    candidates = [[w for w in range(n) if hp[w] == p] for p in vertex_profiles(g)]
     perm = [-1] * n
     used = [False] * n
 
     def extend(u: int):
         if u == n:
-            found.append(tuple(perm))
+            yield tuple(perm)
             return
         for w in candidates[u]:
-            if used[w]:
-                continue
-            if all(rows[u][x] == rows[w][perm[x]] for x in range(u)):
+            if not used[w] and all(a[u][x] == b[w][perm[x]] for x in range(u)):
                 perm[u] = w
                 used[w] = True
-                extend(u + 1)
+                yield from extend(u + 1)
                 used[w] = False
-                perm[u] = -1
 
-    extend(0)
-    return found
+    yield from extend(0)
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """All automorphisms, as permutation tuples: the isomorphisms of g to
+    itself.  The group is listed in full, hence the vertex cap."""
+    if g.v > AUTOMORPHISM_BOUND:
+        raise ValueError(f"automorphism search capped at {AUTOMORPHISM_BOUND} vertices")
+    return list(isomorphisms(g, g))
 
 
 def is_vertex_transitive(g: Graph) -> bool:

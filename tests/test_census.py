@@ -1,5 +1,7 @@
 import json
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -11,7 +13,8 @@ from ctrlgraph.errors import InternalConsistencyError
 
 from conftest import census_lines
 
-DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DOCS = ROOT / "docs"
 
 
 def test_small_counts():
@@ -70,6 +73,13 @@ def test_pool_size_is_capped_by_chunk_count(monkeypatch):
     assert _RecordingPool.sizes == [3] and pooled == serial
     run_census(lines, CensusConfig(workers=2))
     assert _RecordingPool.sizes == [3, 2]
+
+
+def test_census_script_reports_the_processes_that_run():
+    argv = [sys.executable, str(ROOT / "scripts" / "run_census.py"), "--max-n", "3",
+            "--workers", "4"]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+    assert out.startswith("7 graphs, 1 worker, ")  # 7 lines make one chunk
 
 
 def test_malformed_line_recorded():

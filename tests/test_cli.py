@@ -186,6 +186,14 @@ def test_census_refuses_fewer_than_one_worker(tmp_path, capsys):
         assert "--workers" in capsys.readouterr().err
 
 
+def test_census_refuses_negative_max_n(tmp_path, capsys):
+    g6file = tmp_path / "in.g6"
+    g6file.write_text("A_\n")
+    code, text = run(["census", "--input", str(g6file), "--max-n", "-1"], tmp_path)
+    assert code == cli.EXIT_INPUT and text == ""
+    assert "--max-n" in capsys.readouterr().err
+
+
 def test_census_consistency_failure_names_line(tmp_path, monkeypatch, capsys):
     def disagree(p):
         raise InternalConsistencyError(f"characterizations disagree for {p}")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +21,13 @@ from ctrlgraph.graphs import (
     empty,
     is_connected,
     is_vertex_transitive,
+    isomorphisms,
     laplacian_rows,
     parse_graph6,
     path,
     path_extension,
 )
+from ctrlgraph import control, pairiso
 from ctrlgraph.matrices import mat_mul, transpose
 
 from conftest import all_subsets, census_graphs, census_lines
@@ -40,13 +43,13 @@ from oracles import (
 )
 
 
-def brute_automorphisms(g):
-    a = g.rows
-    out = []
-    for perm in itertools.permutations(range(g.v)):
-        if all(a[perm[i]][perm[j]] == a[i][j] for i in range(g.v) for j in range(g.v)):
-            out.append(perm)
-    return out
+def brute_isomorphisms(g, h):
+    a, b = g.rows, h.rows
+    return [
+        perm
+        for perm in itertools.permutations(range(g.v))
+        if all(b[perm[i]][perm[j]] == a[i][j] for i in range(g.v) for j in range(g.v))
+    ]
 
 
 def test_adjacency_examples():
@@ -120,7 +123,7 @@ def test_automorphisms_examples():
 
 def test_automorphisms_match_brute_force():
     for g in itertools.chain(census_graphs(4), census_graphs(5)):
-        assert sorted(automorphisms(g)) == sorted(brute_automorphisms(g))
+        assert sorted(automorphisms(g)) == sorted(brute_isomorphisms(g, g))
 
 
 def test_automorphisms_preserve_adjacency():
@@ -129,6 +132,43 @@ def test_automorphisms_preserve_adjacency():
         for perm in automorphisms(g):
             pm = [[1 if perm[j] == i else 0 for j in range(g.v)] for i in range(g.v)]
             assert mat_mul(mat_mul(pm, a), transpose(pm)) == a
+
+
+def test_isomorphisms_match_brute_force():
+    rng = random.Random(2010)
+    for g in itertools.chain(census_graphs(4), census_graphs(5)):
+        perm = tuple(rng.sample(range(g.v), g.v))
+        h = g.relabel(perm)  # g with itself: test_automorphisms_match_brute_force
+        found = sorted(isomorphisms(g, h))
+        assert found == sorted(brute_isomorphisms(g, h)) and perm in found
+
+
+def test_isomorphisms_between_distinct_graphs():
+    for n in (4, 5):
+        graphs = census_graphs(n)
+        for g, h in itertools.permutations(graphs, 2):
+            assert next(isomorphisms(g, h), None) is None
+    assert list(isomorphisms(path(3), path(4))) == []
+    assert list(isomorphisms(empty(0), empty(0))) == [()]
+
+
+def test_isomorphisms_agree_with_canonical_walk_matrix():
+    # controllable graphs are asymmetric, so each relabelling is the one
+    # isomorphism, and the paper's canonical form is a second route
+    rng = random.Random(92)
+    ctrl = [
+        g
+        for g in census_graphs(7)
+        if control.is_controllable_rank(control.PairSpec.from_subset(g, range(7)))
+    ]
+    assert len(ctrl) == 92
+    perms = [tuple(rng.sample(range(7), 7)) for _ in ctrl]
+    moved = [g.relabel(perm) for g, perm in zip(ctrl, perms)]
+    canon = [pairiso.canonical_walk_matrix(h) for h in moved]
+    for i, g in enumerate(ctrl):
+        assert list(isomorphisms(g, moved[i])) == [perms[i]]
+        for h, c in zip(moved, canon):
+            assert (next(isomorphisms(g, h), None) is not None) == (c == canon[i])
 
 
 def test_vertex_transitive():
