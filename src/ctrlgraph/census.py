@@ -89,17 +89,18 @@ def analyze_line(task) -> CensusRow:
         row.error = f"graph on {g.v} vertices exceeds --max-n {max_n}"
         return row
     try:
+        # phi's factors over Q, or None for a repeated root: every verdict
+        # below but the rank of W(1) is read from them
+        factors = control.char_poly_factors(g)
         if "full" in modes:
             p = control.PairSpec.from_subset(g, range(g.v))
             rep = control.full_report(p)
             row.rank_full = rep.rank_of_w
             row.dual_degree_full = rep.dual_degree
             row.controllable_full = rep.controllable
-            row.irreducible_charpoly = control.is_charpoly_irreducible(g)
+            row.irreducible_charpoly = factors is not None and len(factors) == 1
         if "vertices" in modes:
-            row.controllable_vertices = sum(
-                1 for u in range(g.v) if control.is_vertex_controllable(g, u)
-            )
+            row.controllable_vertices = control.controllable_vertex_count(g, factors)
         # An irreducible phi has simple, Galois-conjugate eigenvalues: an
         # eigenvector orthogonal to a nonzero rational z would make all of
         # them so, hence every nonempty S is controllable.
@@ -113,7 +114,12 @@ def analyze_line(task) -> CensusRow:
             if g.v > SUBSET_GUARD:
                 row.error = f"subset enumeration guarded at v <= {SUBSET_GUARD}"
                 return row
-            row.controllable_subsets = control.controllable_subset_count(g)
+            count, whole = control.controllable_subset_count(g, factors)
+            if row.controllable_full not in (None, whole):
+                raise InternalConsistencyError(
+                    "factor criterion disagrees with the full report at S = V"
+                )
+            row.controllable_subsets = count
             row.total_subsets = 2**g.v
     except InternalConsistencyError as exc:
         raise InternalConsistencyError(f"line {line_no} ({row.graph6}): {exc}") from exc

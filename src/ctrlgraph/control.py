@@ -6,12 +6,18 @@ vector of a vertex subset).  The pair is controllable when the walk matrix
 z^T (tI-A)^{-1} z has v distinct poles.  Both routes are implemented and a
 disagreement between them is raised as an internal error: their equivalence
 is a theorem, so disagreement means a bug here, never odd input.
+
+The census counts read a third route from the factors f_i of phi over the
+rationals: with phi squarefree and h_i = phi / f_i, the pair is
+controllable iff h_i(A) z != 0 for every i (`controllable_subset_count`),
+and a vertex u is iff no f_i divides phi(X minus u).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from . import irreducible
@@ -24,7 +30,7 @@ from .matrices import (
     krylov_columns,
     transpose,
 )
-from .polys import poly_gcd, sub, trim
+from .polys import divides, exact_div, poly_gcd, poly_squarefree, sub, trim
 
 ALGEBRA_CHECK_BOUND = 7
 
@@ -93,41 +99,75 @@ def is_controllable_rank(p: PairSpec) -> bool:
     return walk_matrix_rank(p) == p.graph.v
 
 
-def controllable_subset_count(g: Graph) -> int:
-    """Number of subsets S, the empty one included, with (X, S) controllable.
+def controllable_subset_count(g: Graph, factors: Sequence[tuple] | None) -> tuple[int, bool]:
+    """Number of subsets S, the empty one included, with (X, S) controllable,
+    and whether S = V is; `factors` is `char_poly_factors(g)`.
 
     Every column A^k z of W(z) lies in {p(A) z : deg p < d} for d the degree
     of A's minimal polynomial, the rank of I, A, ..., A^{v-1}; so
-    rank W(z) <= d, and when d < v (A has a repeated eigenvalue) no subset
-    is controllable.  Otherwise, as W(z) is linear in z, the subsets are
-    visited in Gray-code order, each step adding or subtracting one
-    vertex's walk columns W(e_u), and each sum W(z_S) is ranked exactly.
-    At S = V the sum must equal the walk columns of the all-ones vector.
+    rank W(z) <= d, and when d < v (A has a repeated eigenvalue, that is
+    phi is not squarefree) no subset is controllable.  Otherwise, with
+    h_i = phi / f_i for the factors f_i of phi, (X, z) is controllable iff
+    h_i(A) z != 0 for every i: h_i(A) is zero on the eigenspaces of the
+    other factors' roots and invertible on those of f_i's, and a rational z
+    orthogonal to one eigenvector of a root of f_i is orthogonal to its
+    Galois conjugates, the eigenvectors of every root of f_i.  As h_i(A) z
+    is linear in z, the subsets are visited in Gray-code order, each step
+    adding or subtracting the column h_i(A) e_u = sum_k h_i[k] A^k e_u of
+    one vertex, read from its walk W(e_u).  Each column is packed into one
+    integer, base 2^bits above twice any partial sum of an entry, so that
+    a sum is zero iff every entry is.  At S = V the sums must equal
+    h_i(A) 1, and the verdict must match the rank of W(1).
     """
     v = g.v
+    if v == 0:
+        return 1, True  # the empty subset, with an empty, invertible W
     # W(e_u) for every vertex u; A^k e_u is also column u of A^k
     walks = [
         krylov_columns(g.rows, [int(i == u) for i in range(v)], v) for u in range(v)
     ]
-    if int_rank([[x for w in walks for x in w[k]] for k in range(v)]) < v:
-        return 0
-    full = (1 << v) - 1
-    cols = [[0] * v for _ in range(v)]
-    mask = 0
-    count = int(v == 0)  # the empty subset, rank 0
-    for i in range(1, 1 << v):
-        u = (i & -i).bit_length() - 1
-        if mask >> u & 1:
-            cols = [[a - b for a, b in zip(c, w)] for c, w in zip(cols, walks[u])]
-        else:
-            cols = [[a + b for a, b in zip(c, w)] for c, w in zip(cols, walks[u])]
-        mask ^= 1 << u
-        if mask == full and cols != krylov_columns(g.rows, [1] * v, v):
-            raise InternalConsistencyError(
-                "summed vertex walk columns differ from the walk columns of V"
-            )
-        count += int_rank(cols) == v
-    return count
+    repeated = int_rank([[x for w in walks for x in w[k]] for k in range(v)]) < v
+    if repeated != (factors is None):
+        raise InternalConsistencyError(
+            "minimal polynomial of degree below v disagrees with the squarefree test of phi"
+        )
+    if repeated:
+        return 0, False
+    phi = graph_char_poly(g)
+    hs = [exact_div(phi, f) for f in factors]
+
+    def apply(h, walk):  # h(A) z from the walk columns z, Az, ...
+        return [sum(c * col[j] for c, col in zip(h, walk)) for j in range(v)]
+
+    cols = [[apply(h, w) for w in walks] for h in hs]
+    bits = (4 * v * max(abs(x) for c in cols for col in c for x in col)).bit_length()
+
+    def pack(col):
+        return sum(x << bits * j for j, x in enumerate(col))
+
+    # Gray-code subset k is k ^ (k >> 1); step k toggles the lowest set bit
+    # u of k, adding vertex u when subset k holds it and removing it if not
+    steps = []
+    for k in range(1, 1 << v):
+        u = (k & -k).bit_length() - 1
+        steps.append(u if (k ^ k >> 1) >> u & 1 else u + v)
+    sums = []
+    for c in cols:
+        signed = [pack(col) for col in c]
+        signed += [-x for x in signed]
+        sums.append(list(accumulate(map(signed.__getitem__, steps), initial=0)))
+    at_v = next(k for k in range(1 << v) if k ^ k >> 1 == (1 << v) - 1)
+    ones = krylov_columns(g.rows, [1] * v, v)
+    if [s[at_v] for s in sums] != [pack(apply(h, ones)) for h in hs]:
+        raise InternalConsistencyError(
+            "summed vertex walk columns h_i(A) e_u differ from h_i(A) 1"
+        )
+    whole = all(s[at_v] for s in sums)
+    if whole != (int_rank(ones) == v):
+        raise InternalConsistencyError(
+            "factor criterion disagrees with the walk-matrix rank at S = V"
+        )
+    return sum(map(all, zip(*sums))), whole
 
 
 @lru_cache(maxsize=ADJUGATE_CACHE_SIZE)
@@ -177,6 +217,26 @@ def is_vertex_controllable(g: Graph, u: int) -> bool:
         raise ValueError(f"vertex {u} out of range")
     deleted = vertex_deleted_char_polys(g)[u]
     return len(poly_gcd(deleted, graph_char_poly(g))) == 1
+
+
+def char_poly_factors(g: Graph) -> tuple[tuple, ...] | None:
+    """The monic irreducible factors of phi over the rationals, or None when
+    phi has a repeated root and nothing is controllable."""
+    phi = graph_char_poly(g)
+    return tuple(irreducible.factors(phi)) if poly_squarefree(phi) else None
+
+
+def controllable_vertex_count(g: Graph, factors: Sequence[tuple] | None) -> int:
+    """Number of vertices u with (X, u) controllable; `factors` is
+    `char_poly_factors(g)`.  u is controllable iff phi(X minus u) is coprime
+    to phi, that is iff no factor of phi divides it.  A repeated root of phi
+    is a root of every phi(X minus u) too (interlacing), so none is then."""
+    if factors is None:
+        return 0
+    return sum(
+        not any(divides(f, deleted) for f in factors)
+        for deleted in vertex_deleted_char_polys(g)
+    )
 
 
 def algebra_basis_check(p: PairSpec) -> bool:
@@ -252,7 +312,3 @@ def cone_transfer_check(g: Graph, members: Iterable[int]) -> bool:
     if base != apex:
         raise InternalConsistencyError("cone transfer equivalence failed")
     return apex
-
-
-def is_charpoly_irreducible(g: Graph) -> bool:
-    return irreducible.is_irreducible(graph_char_poly(g))

@@ -1,14 +1,20 @@
-"""Exact irreducibility testing for monic integer polynomials.
+"""Exact factorization over the rationals of monic squarefree integer
+polynomials, and the irreducibility test read from it.
 
 One Berlekamp-Zassenhaus pass (von zur Gathen & Gerhard, *Modern Computer
-Algebra*, ch. 14-15), with no degree cap.  For the least prime p > deg(f)^2
-with f mod p squarefree, f is factored over GF(p): distinct-degree
-factorization, each block split by Cantor-Zassenhaus on t + c.  One factor
-means f is irreducible.  Otherwise every factor is Hensel-lifted to a
-modulus m = p^k above twice Mignotte's bound on the coefficients of a
-factor of degree at most deg(f)/2, and products of lifted factors, by
-increasing number of factors, are tried as integer divisors of f: a
-factor of f over the integers is the symmetric lift of one of them.
+Algebra*, ch. 14-15), with no degree cap.  A factor t is divided out
+first.  For the least prime p > deg(f)^2 with f mod p squarefree, f is
+factored over GF(p): distinct-degree factorization, one Frobenius step
+per degree read from Berlekamp's Q-matrix (the rows t^{ip} mod f), each
+block split by Cantor-Zassenhaus on t + c.  One piece means f is
+irreducible.  Otherwise every piece is Hensel-lifted to a modulus
+m = p^k above twice Mignotte's bound on the coefficients of a factor of
+degree at most deg(f)/2, and products of lifted pieces, by increasing
+number of pieces, are tried as integer divisors of f: a factor of f over
+the integers is the symmetric lift of one of them.  Each divisor found
+is divided out of f and its pieces dropped, and the search goes on with
+the same number of pieces; what is left of f when none divides is its
+last factor.
 
 Polynomials are coefficient tuples as in `polys`; the helpers return them
 reduced modulo the modulus they are given.
@@ -20,7 +26,7 @@ import itertools
 import math
 
 from .errors import InternalConsistencyError
-from .polys import add, derivative, divides, mul, poly_squarefree, sub, trim
+from .polys import add, derivative, divides, exact_div, mul, poly_squarefree, sub, trim
 
 
 def _reduce(a, m: int) -> tuple:
@@ -99,22 +105,44 @@ def _split(g: tuple, k: int, p: int) -> list[tuple]:
     raise InternalConsistencyError(f"no t + c splits a degree-{k} block mod {p}")
 
 
+def _frobenius_rows(f: tuple, p: int) -> list[tuple]:
+    """Berlekamp's Q-matrix: the rows t^{ip} mod f over GF(p), i < deg f.
+    As c^p = c in GF(p), h^p mod f = sum_i h_i t^{ip} mod f, so one
+    Frobenius step is a matrix-vector product with these rows."""
+    tp = _powmod((0, 1), p, f, p)
+    rows = [(1,)]
+    for _ in range(len(f) - 2):
+        rows.append(_divmod(_mul(rows[-1], tp, p), f, p)[1])
+    return rows
+
+
+def _frobenius(h: tuple, rows: list[tuple], p: int) -> tuple:
+    out = [0] * len(rows)
+    for c, row in zip(h, rows):
+        if c:
+            for j, x in enumerate(row):
+                out[j] += c * x
+    return _reduce(out, p)
+
+
 def _factor_mod(f: tuple, p: int) -> list[tuple]:
     """The monic irreducible factors over GF(p) of a monic squarefree f:
-    distinct-degree factorization, each block split by _split."""
+    distinct-degree factorization, each block split by _split.  h runs
+    through t^{p^k} modulo the f given; as the blocks found divide f,
+    the gcd with what is left of f reads the same block."""
+    rows = _frobenius_rows(f, p)
     factors = []
     h = (0, 1)
     k = 0
     while len(f) - 1 >= 2 * (k + 1):
         k += 1
-        h = _powmod(h, p, f, p)
+        h = _frobenius(h, rows, p)
         g = _gcd(f, _reduce(sub(h, (0, 1)), p), p)
         if len(g) > 1:
             factors += _split(g, k, p)
             f, rem = _divmod(f, g, p)
             if rem:
                 raise InternalConsistencyError(f"DDF factor does not divide mod {p}")
-            h = _divmod(h, f, p)[1]
     if len(f) > 1:
         factors.append(f)
     return factors
@@ -136,6 +164,69 @@ def _hensel_lift(f: tuple, g: tuple, p: int, m: int) -> tuple:
     return g
 
 
+def _zassenhaus(f: tuple) -> list[tuple]:
+    """The monic irreducible factors of a monic squarefree f of degree at
+    least 1."""
+    n = len(f) - 1
+    p = n * n + 1
+    while not (
+        all(p % d for d in range(2, math.isqrt(p) + 1))
+        and len(_gcd(f, derivative(f), p)) == 1
+    ):
+        p += 1
+    pieces = _factor_mod(_reduce(f, p), p)
+    if len(pieces) == 1:
+        return [f]
+    h = n // 2
+    bound = math.comb(h, h // 2) * (math.isqrt(sum(c * c for c in f)) + 1)
+    m = p
+    while m <= 2 * bound:
+        m *= p
+    lifted = [_hensel_lift(f, g, p, m) for g in pieces]
+    if _product(lifted, m) != _reduce(f, m):
+        raise InternalConsistencyError(f"Hensel lift of {f} fails mod {m}")
+    # Of two complementary products, one has degree at most half of what
+    # is left of f, but it may take more than half of the pieces: sizes run
+    # up to all pieces but one.
+    found = []
+    size = 1
+    while size < len(lifted):
+        for combo in itertools.combinations(range(len(lifted)), size):
+            if 2 * sum(len(lifted[i]) - 1 for i in combo) <= len(f) - 1:
+                g = _product((lifted[i] for i in combo), m)
+                g = trim(c - m if 2 * c > m else c for c in g)
+                if divides(g, f):
+                    found.append(g)
+                    f = exact_div(f, g)
+                    lifted = [x for i, x in enumerate(lifted) if i not in combo]
+                    break
+        else:
+            size += 1
+    return [*found, f]
+
+
+def factors(f: tuple) -> list[tuple]:
+    """The monic irreducible factors over the rationals of a monic
+    squarefree integer polynomial f, by degree and then coefficients; the
+    constant 1 has none.  Their product is checked to be f."""
+    if not f or f[-1] != 1:
+        raise ValueError(f"factorization requires a monic polynomial, got {f}")
+    if not poly_squarefree(f):
+        raise ValueError(f"factorization requires a squarefree polynomial, got {f}")
+    if len(f) > 1 and f[0] == 0:
+        found, rest = [(0, 1)], f[1:]
+    else:
+        found, rest = [], f
+    if len(rest) > 1:
+        found += _zassenhaus(rest)
+    product = (1,)
+    for g in found:
+        product = mul(product, g)
+    if product != f:
+        raise InternalConsistencyError(f"the factors {found} multiply to {product}, not {f}")
+    return sorted(found, key=lambda g: (len(g), g))
+
+
 def is_irreducible(f: tuple) -> bool:
     """Irreducibility over the rationals for a monic integer polynomial."""
     if len(f) < 2:
@@ -146,28 +237,4 @@ def is_irreducible(f: tuple) -> bool:
         return True
     if f[0] == 0 or not poly_squarefree(f):
         return False
-    n = len(f) - 1
-    p = n * n + 1
-    while not (
-        all(p % d for d in range(2, math.isqrt(p) + 1))
-        and len(_gcd(f, derivative(f), p)) == 1
-    ):
-        p += 1
-    factors = _factor_mod(_reduce(f, p), p)
-    if len(factors) == 1:
-        return True
-    h = n // 2
-    bound = math.comb(h, h // 2) * (math.isqrt(sum(c * c for c in f)) + 1)
-    m = p
-    while m <= 2 * bound:
-        m *= p
-    lifted = [_hensel_lift(f, g, p, m) for g in factors]
-    if _product(lifted, m) != _reduce(f, m):
-        raise InternalConsistencyError(f"Hensel lift of {f} fails mod {m}")
-    for size in range(1, len(lifted)):
-        for combo in itertools.combinations(lifted, size):
-            if sum(len(g) - 1 for g in combo) <= h:
-                g = _product(combo, m)
-                if divides(trim(c - m if 2 * c > m else c for c in g), f):
-                    return False
-    return True
+    return len(factors(f)) == 1

@@ -11,6 +11,7 @@ from ctrlgraph.control import (
     graph_char_poly,
     is_controllable_rank,
     numerator_poly,
+    vertex_deleted_char_polys,
 )
 from ctrlgraph.polys import (
     derivative,
@@ -94,6 +95,13 @@ def subset_count_by_rank(g):
     return sum(
         is_controllable_rank(PairSpec.from_subset(g, s)) for s in all_subsets(g.v)
     )
+
+
+def vertex_count_by_gcd(g):
+    """Controllable vertices of g: those u with phi(X minus u) coprime to
+    phi(X), by one primitive-PRS gcd per vertex."""
+    phi = graph_char_poly(g)
+    return sum(len(poly_gcd(d, phi)) == 1 for d in vertex_deleted_char_polys(g))
 
 
 def charpoly_at(rows, c):

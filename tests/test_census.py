@@ -119,6 +119,21 @@ def test_subsets_consistency_failure_names_the_line(monkeypatch):
         run_census(["A?", "Bg"], CensusConfig(modes=("subsets",)))
 
 
+def test_subsets_full_verdict_checked_against_full_report(monkeypatch):
+    real = control.controllable_subset_count
+
+    def flipped(g, factors):
+        count, whole = real(g, factors)
+        return count, not whole
+
+    monkeypatch.setattr(control, "controllable_subset_count", flipped)
+    # subsets mode alone has no full report to compare with
+    run_census(["Bg"], CensusConfig(modes=("subsets",)))
+    failure = r"line 1 \(Bg\): factor criterion disagrees with the full report"
+    with pytest.raises(InternalConsistencyError, match=failure):
+        run_census(["Bg"], CensusConfig(modes=("full", "subsets")))
+
+
 def test_max_n_guard():
     rows, summary = run_census(list(census_lines(5))[:3], CensusConfig(max_n=4))
     assert all(r.error for r in rows)

@@ -227,7 +227,7 @@ def test_census_past_twelve_vertices(tmp_path):
 
 def test_census_irreducible_charpoly_forces_controllable(tmp_path, monkeypatch, capsys):
     # K2 is not controllable with S = V, so an irreducible phi there is a bug
-    monkeypatch.setattr(cli.control, "is_charpoly_irreducible", lambda g: True)
+    monkeypatch.setattr(cli.control, "char_poly_factors", lambda g: (graph_char_poly(g),))
     g6file = tmp_path / "in.g6"
     g6file.write_text("A_\n")
     code, _ = run(["census", "--input", str(g6file), "--workers", "1"], tmp_path)

@@ -6,12 +6,13 @@ import pytest
 from ctrlgraph.control import (
     PairSpec,
     algebra_basis_check,
+    char_poly_factors,
     cone_charpoly_identity,
     cone_transfer_check,
     controllable_subset_count,
+    controllable_vertex_count,
     full_report,
     graph_char_poly,
-    is_charpoly_irreducible,
     is_controllable_poles,
     is_controllable_rank,
     numerator_coeffs,
@@ -40,6 +41,7 @@ from oracles import (
     naive_power_rank,
     pair_rational_function,
     subset_count_by_rank,
+    vertex_count_by_gcd,
 )
 
 K1 = Graph.from_edges(1, ())
@@ -213,17 +215,26 @@ def test_path_extension_controllability_family():
         assert is_controllable_rank(PairSpec.from_subset(ext, [far]))
 
 
+def irreducible_charpoly(g):
+    factors = char_poly_factors(g)
+    return factors is not None and len(factors) == 1
+
+
 def test_charpoly_irreducible():
-    assert not is_charpoly_irreducible(path(2))  # t^2 - 1
-    assert not is_charpoly_irreducible(path(3))  # root 0
-    assert not is_charpoly_irreducible(empty(13))  # t^13: no degree cap
+    assert not irreducible_charpoly(path(2))  # t^2 - 1
+    assert char_poly_factors(path(2)) == ((-1, 1), (1, 1))
+    assert not irreducible_charpoly(path(3))  # root 0
+    assert char_poly_factors(path(3)) == ((0, 1), (-2, 0, 1))
+    assert not irreducible_charpoly(empty(13))  # t^13: no degree cap
+    assert char_poly_factors(empty(13)) is None
+    assert irreducible_charpoly(K1)
 
 
 def test_irreducible_charpoly_implies_all_controllable():
     # the corollary: irreducible phi forces (X, V) and every (X, u) controllable
     found = 0
     for g in census_graphs(6):
-        if is_charpoly_irreducible(g):
+        if irreducible_charpoly(g):
             found += 1
             assert is_controllable_rank(PairSpec.from_subset(g, range(g.v)))
             for u in range(g.v):
@@ -241,12 +252,41 @@ def test_from_vector_validation():
     assert p.vector == (2, 0, -1) and p.subset is None
 
 
+def subset_count(g):
+    return controllable_subset_count(g, char_poly_factors(g))[0]
+
+
 def test_subset_count_matches_per_subset_loop():
     graphs = [*all_graphs_upto(6), *census_graphs(7)[::7]]
     for g in graphs:
-        assert controllable_subset_count(g) == subset_count_by_rank(g), g
-    assert controllable_subset_count(Graph.from_edges(0, ())) == 1  # the empty subset
-    assert controllable_subset_count(K1) == 1
+        assert subset_count(g) == subset_count_by_rank(g), g
+    assert subset_count(Graph.from_edges(0, ())) == 1  # the empty subset
+    assert subset_count(K1) == 1
+
+
+def test_subset_count_full_verdict_matches_rank():
+    # the factor route's verdict at S = V is the walk-matrix rank's
+    for g in all_graphs_upto(7):
+        _, whole = controllable_subset_count(g, char_poly_factors(g))
+        assert whole == is_controllable_rank(PairSpec.from_subset(g, range(g.v))), g
+
+
+def test_subset_count_refuses_wrong_factors():
+    # P3: phi = t (t^2 - 2) is squarefree, and (P3, V) is not controllable
+    g = path(3)
+    with pytest.raises(InternalConsistencyError, match="squarefree"):
+        controllable_subset_count(g, None)
+    with pytest.raises(InternalConsistencyError, match="S = V"):
+        controllable_subset_count(g, (graph_char_poly(g),))
+    with pytest.raises(InternalConsistencyError, match="squarefree"):
+        controllable_subset_count(complete(3), ((1, 1), (-2, 1)))
+
+
+def test_vertex_count_matches_gcd_oracle():
+    # no factor of phi divides phi(X minus u) iff the two are coprime
+    for g in all_graphs_upto(7):
+        assert controllable_vertex_count(g, char_poly_factors(g)) == vertex_count_by_gcd(g), g
+    assert controllable_vertex_count(path(3), char_poly_factors(path(3))) == 2
 
 
 def test_walk_rank_bounded_by_minimal_polynomial_degree():
@@ -261,8 +301,8 @@ def test_walk_rank_bounded_by_minimal_polynomial_degree():
 
 def test_repeated_eigenvalue_means_no_controllable_subset():
     for n in range(3, 9):
-        assert controllable_subset_count(complete(n)) == 0
+        assert subset_count(complete(n)) == 0
     for n in range(2, 9):
-        assert controllable_subset_count(empty(n)) == 0
+        assert subset_count(empty(n)) == 0
     for n in range(1, 9):
-        assert controllable_subset_count(path(n)) > 0
+        assert subset_count(path(n)) > 0

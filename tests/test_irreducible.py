@@ -4,10 +4,12 @@ import random
 import pytest
 import sympy
 
-from ctrlgraph.control import graph_char_poly
-from ctrlgraph.graphs import Graph, cycle, path
-from ctrlgraph.irreducible import is_irreducible
-from ctrlgraph.polys import mul
+from ctrlgraph.control import char_poly_factors, controllable_subset_count, graph_char_poly
+from ctrlgraph.errors import InternalConsistencyError
+from ctrlgraph.graphs import Graph, cycle, parse_graph6, path
+from ctrlgraph import irreducible
+from ctrlgraph.irreducible import factors, is_irreducible
+from ctrlgraph.polys import mul, poly_squarefree
 
 from conftest import census_graphs
 from oracles import poly_from_roots
@@ -22,6 +24,15 @@ def _expr(f: tuple):
 
 def sympy_irreducible(f: tuple) -> bool:
     return sympy.Poly(_expr(f), T).is_irreducible
+
+
+def sympy_factors(f: tuple) -> list[tuple]:
+    """sympy.factor_list's factors of a monic f, as sorted coefficient tuples."""
+    _, found = sympy.factor_list(_expr(f), T)
+    return sorted(
+        (tuple(int(c) for c in reversed(sympy.Poly(g, T).all_coeffs())) for g, _ in found),
+        key=lambda g: (len(g), g),
+    )
 
 
 def test_known_cases():
@@ -89,3 +100,83 @@ def test_large_graph_charpolys_against_sympy():
         for g in (Graph.from_edges(v, edges), path(v), cycle(v)):
             f = graph_char_poly(g)
             assert is_irreducible(f) == sympy_irreducible(f), (v, f)
+
+
+# Graphs whose phi needs more than half of its lifted pieces for a factor of
+# at most half its degree: GCpfr{ has 6 pieces mod 67 and its cubic is 3 of
+# them.  Stopping recombination at half the piece count would leave
+# GCpfr{ and G?qn^{ with a reducible "factor" and too many subsets.
+TRAP_GRAPHS = {
+    "G?qeYw": (((0, 1), (-2, -2, 2, 1), (4, 2, -6, -2, 1)), 152),
+    "G?bvRo": (((0, 1), (-1, 1, 1), (-4, 10, 8, -11, -1, 1)), 96),
+    "GCpfr{": (((1, 1), (-1, -3, 1, 1), (3, 0, -10, -2, 1)), 152),
+    "G?qn^{": (((1, 1), (-1, 1, 1), (-1, 8, -5, -13, -2, 1)), 112),
+}
+
+
+def test_recombination_past_half_the_pieces():
+    for g6, (expected, subsets) in TRAP_GRAPHS.items():
+        g = parse_graph6(g6)
+        assert char_poly_factors(g) == expected, g6
+        assert controllable_subset_count(g, expected)[0] == subsets, g6
+    phi = graph_char_poly(parse_graph6("GCpfr{"))
+    pieces = irreducible._factor_mod(irreducible._reduce(phi, 67), 67)
+    assert sorted(len(g) - 1 for g in pieces) == [1, 1, 1, 1, 1, 3]
+    # t (t^2 + t - 1)(t^3 - t^2 - 5t + 4): a 6-vertex phi of the same kind
+    assert factors((0, -4, 9, 0, -7, 0, 1)) == [(0, 1), (-1, 1, 1), (4, -5, -1, 1)]
+
+
+def test_factors_of_census_charpolys_against_sympy():
+    # every distinct squarefree phi on 1 to 7 vertices
+    phis = {graph_char_poly(g) for n in range(1, 8) for g in census_graphs(n)}
+    checked = 0
+    for f in phis:
+        if poly_squarefree(f):
+            checked += 1
+            found = factors(f)
+            assert found == sympy_factors(f), f
+            assert (len(found) == 1) == is_irreducible(f), f
+    assert checked > 500
+
+
+def test_factors_of_random_products_against_sympy():
+    # seeded products of 3 to 6 random monic factors, coefficients up to
+    # 10^4 on some, kept when squarefree
+    rng = random.Random(1013)
+    tried = 0
+    while tried < 60:
+        c = 10**4 if tried % 3 == 0 else 6
+        parts = [
+            (*(rng.randint(-c, c) for _ in range(rng.randint(1, 4))), 1)
+            for _ in range(rng.randint(3, 6))
+        ]
+        f = (1,)
+        for g in parts:
+            f = mul(f, g)
+        if not poly_squarefree(f):
+            continue
+        tried += 1
+        found = factors(f)
+        assert found == sympy_factors(f), parts
+        assert len(found) >= 3
+    assert factors((1,)) == []
+    assert factors((0, 1)) == [(0, 1)]
+
+
+def test_factors_refuses_bad_input():
+    with pytest.raises(ValueError, match="monic"):
+        factors((1, 2))  # 2t + 1
+    with pytest.raises(ValueError, match="monic"):
+        factors(())
+    with pytest.raises(ValueError, match="squarefree"):
+        factors(mul((-2, 0, 1), (-2, 0, 1)))  # (t^2 - 2)^2: no good prime exists
+    with pytest.raises(ValueError, match="squarefree"):
+        factors((0, 0, 1))
+
+
+def test_factors_checks_their_product(monkeypatch):
+    # a stray factor is caught by the product check, which is no assert and
+    # so runs under python -O too
+    monkeypatch.setattr(irreducible, "_zassenhaus", lambda f: [f, (1, 1)])
+    with pytest.raises(InternalConsistencyError, match="multiply to"):
+        factors((-2, 0, 1))
