@@ -94,7 +94,7 @@ def analyze_line(task) -> CensusRow:
         factors = control.char_poly_factors(g)
         if "full" in modes:
             p = control.PairSpec.from_subset(g, range(g.v))
-            rep = control.full_report(p)
+            rep = control.full_report(p, factors)
             row.rank_full = rep.rank_of_w
             row.dual_degree_full = rep.dual_degree
             row.controllable_full = rep.controllable

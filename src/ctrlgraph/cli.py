@@ -96,11 +96,14 @@ def cmd_analyze(args) -> int:
     except Graph6Error as exc:
         raise CliError(str(exc))
     subsets = _parse_subset_arg(args.subset, g.v)
-    reports = [
-        control.full_report(control.PairSpec.from_subset(g, s)) for s in subsets
-    ]
+    pairs = [control.PairSpec.from_subset(g, s) for s in subsets]
+    graph6 = args.graph6.strip()
+    try:
+        reports = control.full_reports(g, pairs, control.char_poly_factors(g))
+    except InternalConsistencyError as exc:
+        raise InternalConsistencyError(f"graph {graph6}: {exc}") from exc
     doc = {
-        "graph6": args.graph6.strip(),
+        "graph6": graph6,
         "n": g.v,
         "reports": [_report_json(r) for r in reports],
     }

@@ -11,6 +11,11 @@ The census counts read a third route from the factors f_i of phi over the
 rationals: with phi squarefree and h_i = phi / f_i, the pair is
 controllable iff h_i(A) z != 0 for every i (`controllable_subset_count`),
 and a vertex u is iff no f_i divides phi(X minus u).
+
+`full_reports` builds the reports of many pairs of one graph in one pass:
+one adjugate read, phi's factors passed in, each subset's walk matrix
+summed from its members' singleton walks, and every report checked for
+rank W(z) = v - deg gcd(phi_S, phi).  `full_report` is its one-pair call.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Iterable, Sequence
 
 from . import irreducible
 from .errors import InternalConsistencyError
-from .graphs import Graph, check_subset, cone, covering_radius
+from .graphs import Graph, check_subset, cone, covering_radius, distances_from
 from .matrices import (
     adjugate_samples,
     bilinear_numerator_fractions,
@@ -30,7 +35,7 @@ from .matrices import (
     krylov_columns,
     transpose,
 )
-from .polys import divides, exact_div, poly_gcd, poly_squarefree, sub, trim
+from .polys import divides, exact_div, poly_gcd, sub, trim
 
 ALGEBRA_CHECK_BOUND = 7
 
@@ -222,8 +227,8 @@ def is_vertex_controllable(g: Graph, u: int) -> bool:
 def char_poly_factors(g: Graph) -> tuple[tuple, ...] | None:
     """The monic irreducible factors of phi over the rationals, or None when
     phi has a repeated root and nothing is controllable."""
-    phi = graph_char_poly(g)
-    return tuple(irreducible.factors(phi)) if poly_squarefree(phi) else None
+    found = irreducible.factors(graph_char_poly(g))
+    return None if found is None else tuple(found)
 
 
 def controllable_vertex_count(g: Graph, factors: Sequence[tuple] | None) -> int:
@@ -260,37 +265,133 @@ def algebra_basis_check(p: PairSpec) -> bool:
     return result
 
 
-def full_report(p: PairSpec) -> ControllabilityReport:
-    """All characterizations at once, with their agreement enforced."""
-    v = p.graph.v
-    rank = walk_matrix_rank(p)
-    by_rank = rank == v
-    by_poles = is_controllable_poles(p)
-    verdicts = {"rank": by_rank, "poles": by_poles}
-    if p.subset is not None and len(p.subset) == 1:
-        verdicts["coprime"] = is_vertex_controllable(p.graph, p.subset[0])
-    if len(set(verdicts.values())) > 1:
-        raise InternalConsistencyError(
-            f"characterizations disagree for {p}: {verdicts}"
-        )
-    radius = None
-    covrad_ok = None
+def _numerator_reader(bs: Sequence, vectors: Sequence[Sequence[int]]):
+    """z -> phi_S = z^T adj(tI-A) z as a trimmed integer polynomial, from
+    the B_k of the adjugate pass, for each integer z of `vectors`.
+
+    For several vectors, the coefficients of entry (i, j) are packed into
+    one integer, base 2^bits above twice any |phi_S[k]|, so the signed
+    digits of the packed sum over i, j read back exactly.  Packing costs
+    about three direct reads of a full z, so a single vector is read
+    directly (`bilinear_numerator_fractions`)."""
+    if len(vectors) < 2:
+        return lambda z: trim(bilinear_numerator_fractions(bs, z, z))
+    n = len(bs)
+    top = max((abs(x) for bk in bs for r in bk for x in r), default=0)
+    weight = max(sum(map(abs, z)) for z in vectors)
+    bits = (top * weight * weight).bit_length() + 1
+    mask = (1 << bits) - 1
+    packed = [
+        [sum(bk[i][j] << bits * k for k, bk in enumerate(bs)) for j in range(n)]
+        for i in range(n)
+    ]
+
+    def read(z: Sequence[int]) -> tuple:
+        zs = [(i, x) for i, x in enumerate(z) if x]
+        total = sum(a * sum(b * packed[i][j] for j, b in zs) for i, a in zs)
+        coeffs = []
+        for _ in range(n):
+            low = total & mask
+            if low >> bits - 1:
+                low -= 1 << bits
+            coeffs.append(low)
+            total = (total - low) >> bits
+        return trim(coeffs)
+
+    return read
+
+
+def _pair_name(p: PairSpec) -> str:
     if p.subset is not None:
-        radius = covering_radius(p.graph, p.subset)
-        if p.subset and radius != float("inf"):
+        return f"subset {list(p.subset)}"
+    return f"vector {list(p.vector)}"
+
+
+def full_reports(
+    g: Graph, pairs: Sequence[PairSpec], factors: Sequence[tuple] | None
+) -> list[ControllabilityReport]:
+    """The report of every pair, all on g, from one pass over g; `factors`
+    is `char_poly_factors(g)`, or None when phi has a repeated root or was
+    not factored.
+
+    Per pair: the rank of W(z) by Bareiss; phi_S from the B_k of the one
+    adjugate pass (`_numerator_reader`); and
+    deg gcd(phi_S, phi), which for a squarefree phi is the sum of deg f_i
+    over the factors f_i dividing phi_S, and otherwise comes from
+    `poly_gcd`.  As z^T (tI-A)^{-1} z = sum_theta |E_theta z|^2/(t - theta)
+    and rank W(z) counts the theta with E_theta z != 0, every report checks
+    rank W(z) = v - deg gcd(phi_S, phi), besides the agreement of the
+    verdicts.
+
+    W(z) is linear in z, so a subset whose members were all reported as
+    singletons before takes W as the sum of their walks W(e_u), and its
+    covering radius from their BFS distance rows; any other pair is walked
+    directly.  `census.all_subsets` lists the singletons before every
+    larger subset.  Nothing is kept per subset: memory is O(v^3).
+    """
+    v = g.v
+    if any(p.graph != g for p in pairs):
+        raise ValueError("every pair must be on the graph given")
+    phi, bs = graph_adjugate(g)
+    numerator = _numerator_reader(bs, [p.vector for p in pairs])
+    singles = {}  # u -> (W(e_u) flattened, BFS distance row of u)
+    reports = []
+    for p in pairs:
+        s = p.subset
+        if s and all(u in singles for u in s):
+            flat = list(map(sum, zip(*(singles[u][0] for u in s))))
+            cols = [flat[k : k + v] for k in range(0, v * v, v)]
+            radius = max(map(min, zip(*(singles[u][1] for u in s))))
+        else:
+            cols = walk_columns(p)
+            if s is not None and len(s) == 1:
+                row = distances_from(g, s)
+                singles[s[0]] = ([x for c in cols for x in c], row)
+                radius = max(row)
+            else:
+                radius = None if s is None else covering_radius(g, s)
+        rank = int_rank(cols)
+        phi_s = numerator(p.vector)
+        if factors is None:
+            common = len(poly_gcd(phi_s, phi)) - 1
+        else:
+            common = sum(len(f) - 1 for f in factors if divides(f, phi_s))
+        verdicts = {"rank": rank == v, "poles": common == 0}
+        if s is not None and len(s) == 1:
+            verdicts["coprime"] = is_vertex_controllable(g, s[0])
+        if len(set(verdicts.values())) > 1:
+            raise InternalConsistencyError(
+                f"characterizations disagree for {_pair_name(p)}: {verdicts}"
+            )
+        if rank != v - common:
+            raise InternalConsistencyError(
+                f"rank of W(z) is {rank} but gcd(phi_S, phi) has degree {common}"
+                f" for {_pair_name(p)}, leaving {v - common} poles"
+            )
+        covrad_ok = None
+        if s and radius != float("inf"):
             covrad_ok = radius <= rank - 1
-    return ControllabilityReport(
-        v=v,
-        subset=p.subset,
-        rank_of_w=rank,
-        support_size=rank,
-        dual_degree=rank - 1,
-        covering_radius=radius,
-        controllable=by_rank,
-        verdicts=verdicts,
-        covrad_bound_ok=covrad_ok,
-        degenerate=all(x == 0 for x in p.vector),
-    )
+        reports.append(
+            ControllabilityReport(
+                v=v,
+                subset=s,
+                rank_of_w=rank,
+                support_size=rank,
+                dual_degree=rank - 1,
+                covering_radius=radius,
+                controllable=rank == v,
+                verdicts=verdicts,
+                covrad_bound_ok=covrad_ok,
+                degenerate=not any(p.vector),
+            )
+        )
+    return reports
+
+
+def full_report(p: PairSpec, factors: Sequence[tuple] | None = None) -> ControllabilityReport:
+    """All characterizations of one pair, with their agreement enforced:
+    `full_reports` on that pair alone, one Krylov pass."""
+    return full_reports(p.graph, [p], factors)[0]
 
 
 def cone_charpoly_identity(g: Graph, members: Iterable[int]) -> tuple[tuple, tuple]:

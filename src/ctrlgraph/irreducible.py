@@ -1,5 +1,6 @@
 """Exact factorization over the rationals of monic squarefree integer
-polynomials, and the irreducibility test read from it.
+polynomials, and the irreducibility test read from it.  `factors` runs the
+one squarefree test and returns None on a repeated root.
 
 One Berlekamp-Zassenhaus pass (von zur Gathen & Gerhard, *Modern Computer
 Algebra*, ch. 14-15), with no degree cap.  A factor t is divided out
@@ -205,14 +206,15 @@ def _zassenhaus(f: tuple) -> list[tuple]:
     return [*found, f]
 
 
-def factors(f: tuple) -> list[tuple]:
-    """The monic irreducible factors over the rationals of a monic
-    squarefree integer polynomial f, by degree and then coefficients; the
-    constant 1 has none.  Their product is checked to be f."""
+def factors(f: tuple) -> list[tuple] | None:
+    """The monic irreducible factors over the rationals of a monic integer
+    polynomial f, by degree and then coefficients, or None when f has a
+    repeated root; the constant 1 has none.  Their product is checked to
+    be f."""
     if not f or f[-1] != 1:
         raise ValueError(f"factorization requires a monic polynomial, got {f}")
     if not poly_squarefree(f):
-        raise ValueError(f"factorization requires a squarefree polynomial, got {f}")
+        return None
     if len(f) > 1 and f[0] == 0:
         found, rest = [(0, 1)], f[1:]
     else:
@@ -235,6 +237,7 @@ def is_irreducible(f: tuple) -> bool:
         raise ValueError("irreducibility test requires a monic polynomial")
     if len(f) == 2:
         return True
-    if f[0] == 0 or not poly_squarefree(f):
+    if f[0] == 0:
         return False
-    return len(factors(f)) == 1
+    found = factors(f)
+    return found is not None and len(found) == 1

@@ -1,18 +1,23 @@
 """Independent brute-force oracles the fast implementations are checked
 against.  Deliberately naive: cofactor expansion, plain Fraction
 elimination, repeated matrix powers; plus the pole and root counts that
-only tests read."""
+only tests read, and the per-pair report that `full_reports` must match."""
 
 from fractions import Fraction
 
 from ctrlgraph.census import all_subsets
 from ctrlgraph.control import (
+    ControllabilityReport,
     PairSpec,
     graph_char_poly,
+    is_controllable_poles,
     is_controllable_rank,
+    is_vertex_controllable,
     numerator_poly,
     vertex_deleted_char_polys,
+    walk_matrix_rank,
 )
+from ctrlgraph.graphs import covering_radius
 from ctrlgraph.polys import (
     derivative,
     exact_div,
@@ -94,6 +99,35 @@ def subset_count_by_rank(g):
     built and ranked per subset."""
     return sum(
         is_controllable_rank(PairSpec.from_subset(g, s)) for s in all_subsets(g.v)
+    )
+
+
+def reference_report(p):
+    """The report of one pair with every quantity computed on its own: a
+    fresh walk matrix, phi_S from its own adjugate read and gcd(phi_S, phi)
+    by the primitive PRS, and the covering radius by its own BFS."""
+    v = p.graph.v
+    rank = walk_matrix_rank(p)
+    verdicts = {"rank": rank == v, "poles": is_controllable_poles(p)}
+    if p.subset is not None and len(p.subset) == 1:
+        verdicts["coprime"] = is_vertex_controllable(p.graph, p.subset[0])
+    radius = None
+    covrad_ok = None
+    if p.subset is not None:
+        radius = covering_radius(p.graph, p.subset)
+        if p.subset and radius != float("inf"):
+            covrad_ok = radius <= rank - 1
+    return ControllabilityReport(
+        v=v,
+        subset=p.subset,
+        rank_of_w=rank,
+        support_size=rank,
+        dual_degree=rank - 1,
+        covering_radius=radius,
+        controllable=rank == v,
+        verdicts=verdicts,
+        covrad_bound_ok=covrad_ok,
+        degenerate=all(x == 0 for x in p.vector),
     )
 
 

@@ -78,6 +78,17 @@ def test_analyze_bad_inputs(tmp_path):
     assert code == cli.EXIT_GUARD
 
 
+def test_analyze_consistency_failure_names_graph_and_subset(tmp_path, monkeypatch, capsys):
+    # vertex 1 of P3 is not controllable; a coprime verdict saying it is
+    # disagrees with the rank and pole verdicts
+    monkeypatch.setattr(cli.control, "is_vertex_controllable", lambda g, u: True)
+    code, text = run(["analyze", P3, "--subset", "vertices"], tmp_path)
+    assert code == cli.EXIT_INCONSISTENT and text == ""
+    err = capsys.readouterr().err
+    assert f"graph {P3}: characterizations disagree for subset [1]" in err
+    assert "rows=" not in err
+
+
 def test_census_csv_and_json_agree(tmp_path):
     g6file = tmp_path / "in.g6"
     g6file.write_text("\n".join(emit_graph6(path(n)) for n in range(2, 7)) + "\n")
@@ -195,7 +206,7 @@ def test_census_refuses_negative_max_n(tmp_path, capsys):
 
 
 def test_census_consistency_failure_names_line(tmp_path, monkeypatch, capsys):
-    def disagree(p):
+    def disagree(p, factors=None):
         raise InternalConsistencyError(f"characterizations disagree for {p}")
 
     monkeypatch.setattr(cli.control, "full_report", disagree)
@@ -226,8 +237,12 @@ def test_census_past_twelve_vertices(tmp_path):
 
 
 def test_census_irreducible_charpoly_forces_controllable(tmp_path, monkeypatch, capsys):
-    # K2 is not controllable with S = V, so an irreducible phi there is a bug
+    # K2 is not controllable with S = V, so an irreducible phi there is a bug;
+    # the full report keeps its own poly_gcd route, so that the false factor
+    # reaches only the irreducibility check
+    full_report = cli.control.full_report
     monkeypatch.setattr(cli.control, "char_poly_factors", lambda g: (graph_char_poly(g),))
+    monkeypatch.setattr(cli.control, "full_report", lambda p, factors: full_report(p))
     g6file = tmp_path / "in.g6"
     g6file.write_text("A_\n")
     code, _ = run(["census", "--input", str(g6file), "--workers", "1"], tmp_path)

@@ -1,8 +1,10 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from ctrlgraph import control
 from ctrlgraph.control import (
     PairSpec,
     algebra_basis_check,
@@ -12,6 +14,7 @@ from ctrlgraph.control import (
     controllable_subset_count,
     controllable_vertex_count,
     full_report,
+    full_reports,
     graph_char_poly,
     is_controllable_poles,
     is_controllable_rank,
@@ -40,6 +43,7 @@ from oracles import (
     distinct_root_count,
     naive_power_rank,
     pair_rational_function,
+    reference_report,
     subset_count_by_rank,
     vertex_count_by_gcd,
 )
@@ -191,6 +195,70 @@ def test_full_report_examples():
     assert rep3.controllable and rep3.covering_radius == 0
     rep4 = full_report(PairSpec.from_subset(path(3), []))
     assert rep4.degenerate and not rep4.controllable
+
+
+def with_verdicts(reports):
+    # the verdicts field is not compared by ==
+    return [(r, r.verdicts) for r in reports]
+
+
+def test_full_reports_match_per_pair_reference():
+    # every subset in all_subsets order (singletons first: larger subsets
+    # are summed), with phi's factors and with the poly_gcd route
+    graphs = [Graph.from_edges(0, ()), K1, *all_graphs_upto(6)]
+    for g in graphs:
+        pairs = [PairSpec.from_subset(g, s) for s in all_subsets(g.v)]
+        want = with_verdicts(map(reference_report, pairs))
+        assert with_verdicts(full_reports(g, pairs, char_poly_factors(g))) == want, g
+        assert with_verdicts(full_reports(g, pairs, None)) == want, g
+
+
+def test_full_reports_on_integer_vectors():
+    rng = random.Random(14)
+    for g in [K1, *census_graphs(5), *census_graphs(6)[::5]]:
+        pairs = [PairSpec.from_subset(g, s) for s in all_subsets(g.v)]
+        for _ in range(4):
+            pairs.append(PairSpec.from_vector(g, [rng.randint(-3, 3) for _ in range(g.v)]))
+        rng.shuffle(pairs)  # vectors and subsets mixed, singletons anywhere
+        want = with_verdicts(map(reference_report, pairs))
+        assert with_verdicts(full_reports(g, pairs, char_poly_factors(g))) == want, g
+        # one pair alone reads phi_S without packing
+        alone = [full_report(p, char_poly_factors(g)) for p in pairs]
+        assert with_verdicts(alone) == want, g
+
+
+def test_full_reports_walk_once_per_singleton(monkeypatch):
+    walks = []
+    real = control.krylov_columns
+
+    def counted(rows, z, count):
+        walks.append(tuple(z))
+        return real(rows, z, count)
+
+    monkeypatch.setattr(control, "krylov_columns", counted)
+    g = path(5)
+    full_report(PairSpec.from_subset(g, range(5)), char_poly_factors(g))
+    assert walks == [(1,) * 5]  # one Krylov pass and no per-vertex walk
+    walks.clear()
+    full_reports(g, [PairSpec.from_subset(g, s) for s in all_subsets(5)], None)
+    assert walks == [(0,) * 5] + [tuple(int(i == u) for i in range(5)) for u in range(5)]
+
+
+def test_full_reports_check_rank_against_pole_count(monkeypatch):
+    # rank W(1) = 2 for P3, and gcd(phi_S, phi) has degree 1: a rank one
+    # too low keeps both verdicts False, and only the pole count catches it
+    real = control.int_rank
+    monkeypatch.setattr(control, "int_rank", lambda rows: real(rows) - 1)
+    g = path(3)
+    with pytest.raises(InternalConsistencyError, match=r"rank of W\(z\) is 1.*subset \[0, 1, 2\]"):
+        full_report(PairSpec.from_subset(g, range(3)), char_poly_factors(g))
+    with pytest.raises(InternalConsistencyError, match=r"rank of W\(z\) is 1"):
+        full_report(PairSpec.from_subset(g, range(3)))
+
+
+def test_full_reports_refuse_pairs_of_another_graph():
+    with pytest.raises(ValueError, match="graph given"):
+        full_reports(path(3), [PairSpec.from_subset(cycle(3), [0])], None)
 
 
 def test_cone_charpoly_identity_examples():
