@@ -7,9 +7,13 @@ perfbench/reference/graphs8.csv, which it only reads.
     python3 scripts/check_reference.py census8.csv
     ctrlgraph census --input data/graphs8.g6 --mode subsets --format csv --out subsets8.csv
     python3 scripts/check_reference.py subsets8.csv
+    set -o pipefail
     python3 -c 'import sys; from ctrlgraph.cli import main; sys.exit(max(main(["analyze",
-        g, "--subset", "all"]) for g in open("data/graphs8.g6").read().split()))' > analyze8.json
-    python3 scripts/check_reference.py analyze8.json
+        g, "--subset", "all"]) for g in open("data/graphs8.g6").read().split()))' \
+        | python3 scripts/check_reference.py -
+
+The input `-` is read from stdin, which spares the analyze stream of all
+8-vertex graphs (about 1 GB) a file.
 
 It checks each verdict column the input carries (has a value in on some
 row): `rank_full`, `controllable_full`, `controllable_vertices`,
@@ -26,6 +30,8 @@ mismatches otherwise.
 
 import argparse
 import csv
+import io
+import itertools
 import json
 import pathlib
 import sys
@@ -76,18 +82,25 @@ def analyze_docs(fh):
 
 
 def read_rows(path) -> dict:
-    with open(path, newline="") as fh:
-        analyze = fh.read(1) == "{"
-        fh.seek(0)
-        if analyze:
-            return {str(i): analyze_row(doc) for i, doc in enumerate(analyze_docs(fh), 1)}
-        return {row["line"]: row for row in csv.DictReader(fh)}
+    """The rows of a census CSV or analyze stream at path, `-` for stdin;
+    the first line tells the two apart, so a pipe needs no seek."""
+    if path == "-":
+        fh = io.TextIOWrapper(sys.stdin.buffer, newline="")
+    else:
+        fh = open(path, newline="")
+    with fh:
+        first = fh.readline()
+        lines = itertools.chain([first], fh)
+        if first.startswith("{"):
+            return {str(i): analyze_row(doc) for i, doc in enumerate(analyze_docs(lines), 1)}
+        return {row["line"]: row for row in csv.DictReader(lines)}
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "output", help="CSV output of ctrlgraph census, or analyze --subset all documents"
+        "output",
+        help="CSV output of ctrlgraph census, or analyze --subset all documents; - for stdin",
     )
     args = parser.parse_args()
 

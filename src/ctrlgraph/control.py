@@ -13,9 +13,10 @@ controllable iff h_i(A) z != 0 for every i (`controllable_subset_count`),
 and a vertex u is iff no f_i divides phi(X minus u).
 
 `full_reports` builds the reports of many pairs of one graph in one pass:
-one adjugate read, phi's factors passed in, each subset's walk matrix
-summed from its members' singleton walks, and every report checked for
-rank W(z) = v - deg gcd(phi_S, phi).  `full_report` is its one-pair call.
+phi's factors passed in, each subset's walk matrix summed from its
+members' singleton walks, phi_S read from phi and those walk columns, and
+every report checked for rank W(z) = v - deg gcd(phi_S, phi).
+`full_report` is its one-pair call.
 """
 
 from __future__ import annotations
@@ -178,7 +179,8 @@ def controllable_subset_count(g: Graph, factors: Sequence[tuple] | None) -> tupl
 @lru_cache(maxsize=ADJUGATE_CACHE_SIZE)
 def graph_adjugate(g: Graph) -> tuple:
     """(phi, (B_0, ..., B_{v-1})) of the adjacency matrix: the one kernel
-    pass per graph, which every spectral quantity below reads."""
+    pass per graph.  phi and the phi(X minus u) of the B_k diagonals are
+    read from it; a numerator phi_S is read from phi and the walk of z."""
     return adjugate_samples(g.rows)
 
 
@@ -196,14 +198,11 @@ def vertex_deleted_char_polys(g: Graph) -> tuple[tuple, ...]:
 
 
 def numerator_coeffs(p: PairSpec) -> tuple:
-    """Integer coefficients of phi_S: the numerator of z^T (tI-A)^{-1} z
-    over phi(X, t)."""
-    return bilinear_numerator_fractions(graph_adjugate(p.graph)[1], p.vector, p.vector)
-
-
-def numerator_poly(p: PairSpec) -> tuple:
-    """phi_S(X, t) as an integer polynomial."""
-    return trim(numerator_coeffs(p))
+    """phi_S(X, t), the numerator of z^T (tI-A)^{-1} z over phi(X, t), as
+    an integer polynomial read from phi and the walk columns of z."""
+    return trim(
+        bilinear_numerator_fractions(graph_char_poly(p.graph), p.vector, walk_columns(p))
+    )
 
 
 def is_controllable_poles(p: PairSpec) -> bool:
@@ -213,7 +212,7 @@ def is_controllable_poles(p: PairSpec) -> bool:
     over its distinct eigenvalues: every pole is simple, and v distinct
     poles means gcd(phi_S, phi) = 1 (no squarefree test of phi needed).
     """
-    return len(poly_gcd(numerator_poly(p), graph_char_poly(p.graph))) == 1
+    return len(poly_gcd(numerator_coeffs(p), graph_char_poly(p.graph))) == 1
 
 
 def is_vertex_controllable(g: Graph, u: int) -> bool:
@@ -265,42 +264,6 @@ def algebra_basis_check(p: PairSpec) -> bool:
     return result
 
 
-def _numerator_reader(bs: Sequence, vectors: Sequence[Sequence[int]]):
-    """z -> phi_S = z^T adj(tI-A) z as a trimmed integer polynomial, from
-    the B_k of the adjugate pass, for each integer z of `vectors`.
-
-    For several vectors, the coefficients of entry (i, j) are packed into
-    one integer, base 2^bits above twice any |phi_S[k]|, so the signed
-    digits of the packed sum over i, j read back exactly.  Packing costs
-    about three direct reads of a full z, so a single vector is read
-    directly (`bilinear_numerator_fractions`)."""
-    if len(vectors) < 2:
-        return lambda z: trim(bilinear_numerator_fractions(bs, z, z))
-    n = len(bs)
-    top = max((abs(x) for bk in bs for r in bk for x in r), default=0)
-    weight = max(sum(map(abs, z)) for z in vectors)
-    bits = (top * weight * weight).bit_length() + 1
-    mask = (1 << bits) - 1
-    packed = [
-        [sum(bk[i][j] << bits * k for k, bk in enumerate(bs)) for j in range(n)]
-        for i in range(n)
-    ]
-
-    def read(z: Sequence[int]) -> tuple:
-        zs = [(i, x) for i, x in enumerate(z) if x]
-        total = sum(a * sum(b * packed[i][j] for j, b in zs) for i, a in zs)
-        coeffs = []
-        for _ in range(n):
-            low = total & mask
-            if low >> bits - 1:
-                low -= 1 << bits
-            coeffs.append(low)
-            total = (total - low) >> bits
-        return trim(coeffs)
-
-    return read
-
-
 def _pair_name(p: PairSpec) -> str:
     if p.subset is not None:
         return f"subset {list(p.subset)}"
@@ -314,14 +277,15 @@ def full_reports(
     is `char_poly_factors(g)`, or None when phi has a repeated root or was
     not factored.
 
-    Per pair: the rank of W(z) by Bareiss; phi_S from the B_k of the one
-    adjugate pass (`_numerator_reader`); and
-    deg gcd(phi_S, phi), which for a squarefree phi is the sum of deg f_i
-    over the factors f_i dividing phi_S, and otherwise comes from
-    `poly_gcd`.  As z^T (tI-A)^{-1} z = sum_theta |E_theta z|^2/(t - theta)
-    and rank W(z) counts the theta with E_theta z != 0, every report checks
+    Per pair: the rank of W(z) by Bareiss; phi_S from phi and the same walk
+    columns (`bilinear_numerator_fractions`); and deg gcd(phi_S, phi),
+    which for a squarefree phi is the sum of deg f_i over the factors f_i
+    dividing phi_S, and otherwise comes from `poly_gcd`.  As
+    z^T (tI-A)^{-1} z = sum_theta |E_theta z|^2/(t - theta) and rank W(z)
+    counts the theta with E_theta z != 0, every report checks
     rank W(z) = v - deg gcd(phi_S, phi), besides the agreement of the
-    verdicts.
+    verdicts.  A singleton {u} also checks its phi_S against phi(X minus u)
+    from the adjugate diagonal, a second computation of one polynomial.
 
     W(z) is linear in z, so a subset whose members were all reported as
     singletons before takes W as the sum of their walks W(e_u), and its
@@ -332,8 +296,8 @@ def full_reports(
     v = g.v
     if any(p.graph != g for p in pairs):
         raise ValueError("every pair must be on the graph given")
-    phi, bs = graph_adjugate(g)
-    numerator = _numerator_reader(bs, [p.vector for p in pairs])
+    phi = graph_char_poly(g)
+    deleted = vertex_deleted_char_polys(g)
     singles = {}  # u -> (W(e_u) flattened, BFS distance row of u)
     reports = []
     for p in pairs:
@@ -351,14 +315,19 @@ def full_reports(
             else:
                 radius = None if s is None else covering_radius(g, s)
         rank = int_rank(cols)
-        phi_s = numerator(p.vector)
+        phi_s = trim(bilinear_numerator_fractions(phi, p.vector, cols))
         if factors is None:
             common = len(poly_gcd(phi_s, phi)) - 1
         else:
             common = sum(len(f) - 1 for f in factors if divides(f, phi_s))
         verdicts = {"rank": rank == v, "poles": common == 0}
         if s is not None and len(s) == 1:
-            verdicts["coprime"] = is_vertex_controllable(g, s[0])
+            if phi_s != deleted[s[0]]:
+                raise InternalConsistencyError(
+                    f"phi_S read from the walk of {_pair_name(p)} differs from"
+                    f" phi(X minus {s[0]}) on the adjugate diagonal"
+                )
+            verdicts["coprime"] = len(poly_gcd(deleted[s[0]], phi)) == 1
         if len(set(verdicts.values())) > 1:
             raise InternalConsistencyError(
                 f"characterizations disagree for {_pair_name(p)}: {verdicts}"
@@ -399,7 +368,7 @@ def cone_charpoly_identity(g: Graph, members: Iterable[int]) -> tuple[tuple, tup
     s = check_subset(g, members)
     direct = graph_char_poly(cone(g, s))
     p = PairSpec.from_subset(g, s)
-    formula = sub((0, *graph_char_poly(g)), numerator_poly(p))
+    formula = sub((0, *graph_char_poly(g)), numerator_coeffs(p))
     if direct != formula:
         raise InternalConsistencyError("cone characteristic polynomial identity failed")
     return direct, formula

@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from .errors import InternalConsistencyError
 from .graphs import Graph, automorphisms, laplacian_rows
-from .matrices import (
-    adjugate_samples,
-    bilinear_numerator_fractions,
-    char_poly,
-    int_rank,
-    krylov_columns,
-)
+from .matrices import bilinear_numerator_fractions, char_poly, int_rank, krylov_columns
 from .polys import add, sub, trim
 
 
@@ -55,8 +49,9 @@ def edge_perturbation_polys(
     rows = [list(r) for r in g.rows]
     rows[i][j] = rows[j][i] = int(mode == "add")
     direct = laplacian_char_poly(Graph(tuple(map(tuple, rows))))
-    base, bs = adjugate_samples(laplacian_rows(g))
-    psi = trim(bilinear_numerator_fractions(bs, h, h))
+    lap = laplacian_rows(g)
+    base = char_poly(lap)
+    psi = trim(bilinear_numerator_fractions(base, h, krylov_columns(lap, h, g.v)))
     formula = sub(base, psi) if mode == "add" else add(base, psi)
     if direct != formula:
         raise InternalConsistencyError("Laplacian edge perturbation identity failed")

@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .matrices import (
-    adjugate_samples,
     bilinear_numerator_fractions,
+    char_poly,
     clear_denominators,
     krylov_columns,
     mat_rank,
@@ -92,7 +92,8 @@ def transfer_function(sys: DiscreteSystem) -> tuple:
     """c^T (I - tA)^{-1} b as a (num, den) pair in lowest terms.
 
     A = B/D, b and c are scaled to integers once.  The integer pass on B
-    gives phi and psi = c^T adj(tI - B) b; reversing both against degree d
+    gives phi, and phi with the Krylov columns of b on B gives
+    psi = c^T adj(tI - B) b; reversing both against degree d
     gives c^T (I - tB)^{-1} b, since det(I - tB) = t^d phi(1/t) and psi's d
     coefficients pick up t^{d-1}.  Multiplying coefficient k of both by
     D^(d-k) then substitutes t/D for t, as I - tA = I - (t/D) B.
@@ -101,8 +102,9 @@ def transfer_function(sys: DiscreteSystem) -> tuple:
     flat, scale_a = clear_denominators([x for r in sys.a for x in r])
     b, scale_b = clear_denominators(sys.b)
     c, scale_c = clear_denominators(sys.c)
-    phi, bs = adjugate_samples([flat[i * d : (i + 1) * d] for i in range(d)])
-    psi = bilinear_numerator_fractions(bs, c, b)
+    rows = [flat[i * d : (i + 1) * d] for i in range(d)]
+    phi = char_poly(rows)
+    psi = bilinear_numerator_fractions(phi, c, krylov_columns(rows, b, d))
     num = [x * scale_a ** (d - k) for k, x in enumerate(reversed(psi))]
     den = [scale_b * scale_c * x * scale_a ** (d - k) for k, x in enumerate(reversed(phi))]
     return reduce_ratio(trim(num), trim(den))

@@ -12,13 +12,16 @@ come together from one integer Faddeev-LeVerrier pass over the integer
 rows of A, as phi(t) and the coefficient matrices B_k of
 adj(tI - A) = sum B_k t^k; phi is a coefficient tuple, low degree first,
 in the polynomial format of `polys`.  The pass keeps no state, so its
-caller holds on to the result and passes it down.
+caller holds on to the result and passes it down.  A numerator
+y^T adj(tI - A) z needs no B_k: `bilinear_numerator_fractions` reads it
+from phi and the Krylov columns of z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import InternalConsistencyError
@@ -202,13 +205,20 @@ def char_poly(rows: Sequence[Sequence]) -> tuple:
     return adjugate_samples(rows)[0]
 
 
-def bilinear_numerator_fractions(bs: Sequence, y: Sequence, z: Sequence) -> tuple:
-    """Coefficients (low first, dim many) of y^T adj(tI - A) z, from the B_k
-    of adjugate_samples."""
-    n = len(bs)
-    if len(y) != n or len(z) != n:
-        raise ValueError("shape mismatch")
-    ys = [(i, a) for i, a in enumerate(y) if a]
-    zs = [(j, b) for j, b in enumerate(z) if b]
-    return tuple(sum(a * bk[i][j] * b for i, a in ys for j, b in zs) for bk in bs)
+def bilinear_numerator_fractions(
+    phi: Sequence[int], y: Sequence, cols: Sequence[Sequence]
+) -> tuple:
+    """Coefficients (low first, n many) of y^T adj(tI - A) z, from
+    phi = det(tI - A) and the Krylov columns z, Az, ..., A^{n-1}z of z.
 
+    adj(tI - A) = phi(t) (tI - A)^{-1} = phi(t) sum_k A^k t^{-k-1}, and the
+    product is a polynomial, so coefficient m is sum_k phi[m+k+1] y.A^k z:
+    one dot product per column and one convolution, with no B_k.  The name
+    is kept because the benchmark's tracer (perfbench/spans.py) looks it up
+    by name.
+    """
+    n = len(cols)
+    if len(phi) != n + 1 or len(y) != n or any(len(c) != n for c in cols):
+        raise ValueError("shape mismatch")
+    walks = [sum(map(mul, y, c)) for c in cols]
+    return tuple(sum(map(mul, phi[m + 1 :], walks)) for m in range(n))

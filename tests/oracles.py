@@ -1,7 +1,8 @@
 """Independent brute-force oracles the fast implementations are checked
 against.  Deliberately naive: cofactor expansion, plain Fraction
 elimination, repeated matrix powers; plus the pole and root counts that
-only tests read, and the per-pair report that `full_reports` must match."""
+only tests read, the former read of phi_S from the B_k of the adjugate
+pass, and the per-pair report that `full_reports` must match."""
 
 from fractions import Fraction
 
@@ -10,14 +11,14 @@ from ctrlgraph.control import (
     ControllabilityReport,
     PairSpec,
     graph_char_poly,
-    is_controllable_poles,
     is_controllable_rank,
     is_vertex_controllable,
-    numerator_poly,
+    numerator_coeffs,
     vertex_deleted_char_polys,
     walk_matrix_rank,
 )
 from ctrlgraph.graphs import covering_radius
+from ctrlgraph.matrices import adjugate_samples
 from ctrlgraph.polys import (
     derivative,
     exact_div,
@@ -25,6 +26,7 @@ from ctrlgraph.polys import (
     poly_gcd,
     primitive,
     reduce_ratio,
+    trim,
 )
 
 
@@ -102,13 +104,27 @@ def subset_count_by_rank(g):
     )
 
 
+def adjugate_numerator(bs, y, z):
+    """Coefficients (low first, n many) of y^T adj(tI - A) z, read entry
+    by entry from the B_k of adj(tI - A) = sum_k B_k t^k."""
+    n = len(bs)
+    if len(y) != n or len(z) != n:
+        raise ValueError("shape mismatch")
+    return tuple(
+        sum(y[i] * bk[i][j] * z[j] for i in range(n) for j in range(n)) for bk in bs
+    )
+
+
 def reference_report(p):
     """The report of one pair with every quantity computed on its own: a
-    fresh walk matrix, phi_S from its own adjugate read and gcd(phi_S, phi)
-    by the primitive PRS, and the covering radius by its own BFS."""
+    fresh walk matrix, phi_S read from the B_k of a fresh adjugate pass and
+    gcd(phi_S, phi) by the primitive PRS, and the covering radius by its
+    own BFS."""
     v = p.graph.v
     rank = walk_matrix_rank(p)
-    verdicts = {"rank": rank == v, "poles": is_controllable_poles(p)}
+    phi, bs = adjugate_samples(p.graph.rows)
+    phi_s = trim(adjugate_numerator(bs, p.vector, p.vector))
+    verdicts = {"rank": rank == v, "poles": len(poly_gcd(phi_s, phi)) == 1}
     if p.subset is not None and len(p.subset) == 1:
         verdicts["coprime"] = is_vertex_controllable(p.graph, p.subset[0])
     radius = None
@@ -207,7 +223,7 @@ def distinct_pole_count(num, den):
 
 def pair_rational_function(p):
     """z^T (tI-A)^{-1} z as an exact (num, den) pair of integer polynomials."""
-    return numerator_poly(p), graph_char_poly(p.graph)
+    return numerator_coeffs(p), graph_char_poly(p.graph)
 
 
 # Graphs as plain edge sets: pairs (i, j) with i < j.

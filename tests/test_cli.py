@@ -80,13 +80,27 @@ def test_analyze_bad_inputs(tmp_path):
 
 def test_analyze_consistency_failure_names_graph_and_subset(tmp_path, monkeypatch, capsys):
     # vertex 1 of P3 is not controllable; a coprime verdict saying it is
-    # disagrees with the rank and pole verdicts
-    monkeypatch.setattr(cli.control, "is_vertex_controllable", lambda g, u: True)
+    # (a gcd of phi(X minus u) and phi that is always 1) disagrees with the
+    # rank and pole verdicts, which read phi's factors
+    monkeypatch.setattr(cli.control, "poly_gcd", lambda f, g: (1,))
     code, text = run(["analyze", P3, "--subset", "vertices"], tmp_path)
     assert code == cli.EXIT_INCONSISTENT and text == ""
     err = capsys.readouterr().err
     assert f"graph {P3}: characterizations disagree for subset [1]" in err
     assert "rows=" not in err
+
+
+def test_analyze_singleton_numerator_check_names_graph(tmp_path, monkeypatch, capsys):
+    # phi(X minus u) read for the wrong vertex: P3 deletes to 2K1 at its
+    # middle vertex and to K2 at its ends
+    real = cli.control.vertex_deleted_char_polys
+    monkeypatch.setattr(
+        cli.control, "vertex_deleted_char_polys", lambda g: real(g)[1:] + real(g)[:1]
+    )
+    code, text = run(["analyze", P3, "--subset", "all"], tmp_path)
+    assert code == cli.EXIT_INCONSISTENT and text == ""
+    err = capsys.readouterr().err
+    assert f"graph {P3}: phi_S read from the walk of subset [0] differs" in err
 
 
 def test_census_csv_and_json_agree(tmp_path):

@@ -19,7 +19,6 @@ from ctrlgraph.control import (
     is_controllable_poles,
     is_controllable_rank,
     numerator_coeffs,
-    numerator_poly,
     vertex_deleted_char_polys,
     is_vertex_controllable,
     walk_matrix,
@@ -35,7 +34,7 @@ from ctrlgraph.graphs import (
     path_extension,
 )
 from ctrlgraph.matrices import int_det, inverse
-from ctrlgraph.polys import interpolate_fractions, mul, poly_gcd, sub
+from ctrlgraph.polys import interpolate_fractions, mul, poly_gcd, sub, trim
 
 from conftest import all_graphs_upto, all_subsets, census_graphs
 from oracles import (
@@ -83,21 +82,21 @@ def test_rank_is_v_minus_degree_of_pole_gcd():
     for g in all_graphs_upto(6):
         for s in all_subsets(g.v):
             p = PairSpec.from_subset(g, s)
-            common = poly_gcd(numerator_poly(p), graph_char_poly(g))
+            common = poly_gcd(numerator_coeffs(p), graph_char_poly(g))
             assert walk_matrix_rank(p) == g.v - (len(common) - 1), (g, s)
 
 
 def test_numerator_poly_examples():
-    assert numerator_poly(PairSpec.from_subset(path(3), [0])) == (-1, 0, 1)
-    assert numerator_poly(PairSpec.from_subset(path(3), [])) == ()
-    assert numerator_poly(PairSpec.from_subset(path(2), [0, 1])) == (2, 2)
+    assert numerator_coeffs(PairSpec.from_subset(path(3), [0])) == (-1, 0, 1)
+    assert numerator_coeffs(PairSpec.from_subset(path(3), [])) == ()
+    assert numerator_coeffs(PairSpec.from_subset(path(2), [0, 1])) == (2, 2)
 
 
 def test_numerator_is_vertex_deleted_poly_for_singletons():
     for g in census_graphs(5):
         deleted = vertex_deleted_char_polys(g)
         for u in range(g.v):
-            assert numerator_poly(PairSpec.from_subset(g, [u])) == deleted[u]
+            assert numerator_coeffs(PairSpec.from_subset(g, [u])) == deleted[u]
 
 
 def test_vertex_deleted_polys_are_charpolys_of_deleted_graphs():
@@ -129,7 +128,7 @@ def test_numerator_matches_sampled_inverse_route():
     for g in sample:
         for s in (range(g.v), [0], [0, g.v - 1]):
             p = PairSpec.from_subset(g, s)
-            assert numerator_coeffs(p) == _phi_s_by_sampled_inverse(g, p.vector)
+            assert numerator_coeffs(p) == trim(_phi_s_by_sampled_inverse(g, p.vector))
 
 
 def test_poles_characterization_examples():
@@ -173,7 +172,7 @@ def test_integer_scaling_pairs():
             p = PairSpec.from_subset(g, s)
             p3 = PairSpec.from_vector(g, [3 * x for x in p.vector])
             assert walk_matrix_rank(p3) == walk_matrix_rank(p)
-            assert numerator_poly(p3) == mul(numerator_poly(p), (9,))
+            assert numerator_coeffs(p3) == mul(numerator_coeffs(p), (9,))
             assert is_controllable_poles(p3) == is_controllable_poles(p)
 
 
@@ -222,7 +221,7 @@ def test_full_reports_on_integer_vectors():
         rng.shuffle(pairs)  # vectors and subsets mixed, singletons anywhere
         want = with_verdicts(map(reference_report, pairs))
         assert with_verdicts(full_reports(g, pairs, char_poly_factors(g))) == want, g
-        # one pair alone reads phi_S without packing
+        # and one pair at a time
         alone = [full_report(p, char_poly_factors(g)) for p in pairs]
         assert with_verdicts(alone) == want, g
 
@@ -254,6 +253,23 @@ def test_full_reports_check_rank_against_pole_count(monkeypatch):
         full_report(PairSpec.from_subset(g, range(3)), char_poly_factors(g))
     with pytest.raises(InternalConsistencyError, match=r"rank of W\(z\) is 1"):
         full_report(PairSpec.from_subset(g, range(3)))
+
+
+def test_full_reports_check_singleton_numerator_against_deleted_poly(monkeypatch):
+    # phi_S of {u} read from the walk must equal phi(X minus u) from the
+    # adjugate diagonal; here phi(P3 minus 1) = t^2 is misread as t^2 - 1,
+    # which is coprime to phi and would also upset the verdicts
+    g = path(3)
+    real = vertex_deleted_char_polys(g)
+    wrong = (real[0], sub(real[1], (1,)), real[2])
+    monkeypatch.setattr(control, "vertex_deleted_char_polys", lambda h: wrong)
+    pairs = [PairSpec.from_subset(g, s) for s in all_subsets(3)]
+    for factors in (char_poly_factors(g), None):
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"walk of subset \[1\] differs from phi\(X minus 1\)",
+        ):
+            full_reports(g, pairs, factors)
 
 
 def test_full_reports_refuse_pairs_of_another_graph():

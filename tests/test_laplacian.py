@@ -69,18 +69,18 @@ def test_bordered_rank_is_module_dim_plus_one():
 
 def test_pole_count_matches_module_dimension():
     from ctrlgraph.graphs import laplacian_rows
-    from ctrlgraph.matrices import adjugate_samples, bilinear_numerator_fractions
+    from ctrlgraph.matrices import bilinear_numerator_fractions, krylov_columns
     from ctrlgraph.polys import trim
 
     from oracles import distinct_pole_count
 
     for g in census_graphs(4):
         lap_poly = laplacian_char_poly(g)
-        _, bs = adjugate_samples(laplacian_rows(g))
         for i, j in itertools.combinations(range(4), 2):
             h = [0] * 4
             h[i], h[j] = 1, -1
-            psi = trim(bilinear_numerator_fractions(bs, h, h))
+            cols = krylov_columns(laplacian_rows(g), h, 4)
+            psi = trim(bilinear_numerator_fractions(lap_poly, h, cols))
             poles = distinct_pole_count(psi, lap_poly)
             assert poles == h_module_dimension(g, i, j)
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,9 @@ from ctrlgraph.matrices import (
 )
 from ctrlgraph.polys import mul
 
+from conftest import all_graphs_upto, all_subsets
 from oracles import (
+    adjugate_numerator,
     charpoly_at,
     cofactor_adjugate,
     cofactor_det,
@@ -188,9 +191,65 @@ def test_solve_singular():
 
 def test_bilinear_numerator_is_adjugate_quadratic_form():
     # 2x2 swap matrix: adj(tI - A) = [[t, 1], [1, t]]
-    _, bs = adjugate_samples([[0, 1], [1, 0]])
-    assert bilinear_numerator_fractions(bs, [1, 1], [1, 1]) == (2, 2)
-    assert bilinear_numerator_fractions(bs, [1, 0], [1, 0]) == (0, 1)
+    a = [[0, 1], [1, 0]]
+    phi = char_poly(a)
+    assert bilinear_numerator_fractions(phi, [1, 1], krylov_columns(a, [1, 1], 2)) == (2, 2)
+    assert bilinear_numerator_fractions(phi, [1, 0], krylov_columns(a, [1, 0], 2)) == (0, 1)
+
+
+def _numerator_oracles_agree(rows, pairs):
+    """For each (y, z): y^T adj(tI - A) z from phi and the Krylov columns
+    of z equals the B_k read, and at n points y^T adj(cI - A) z by
+    cofactor expansion, which fixes a polynomial of degree below n."""
+    n = len(rows)
+    phi, bs = adjugate_samples(rows)
+    shifted = {
+        c: [[c * (i == j) - rows[i][j] for j in range(n)] for i in range(n)]
+        for c in range(-1, n - 1)
+    }
+    cofactors = {c: cofactor_adjugate(m) for c, m in shifted.items()}
+    for y, z in pairs:
+        got = bilinear_numerator_fractions(phi, y, krylov_columns(rows, z, n))
+        assert got == adjugate_numerator(bs, y, z), (rows, y, z)
+        for c, adj in cofactors.items():
+            direct = sum(y[i] * adj[i][j] * z[j] for i in range(n) for j in range(n))
+            assert evaluate(got, c) == direct, (rows, y, z, c)
+
+
+def test_bilinear_numerator_matches_oracles_on_every_subset():
+    for g in all_graphs_upto(6):
+        vectors = [[int(u in s) for u in range(g.v)] for s in all_subsets(g.v)]
+        _numerator_oracles_agree(g.rows, [(z, z) for z in vectors])
+
+
+def test_bilinear_numerator_matches_oracles_on_non_symmetric_matrices():
+    # the lti case: A need not be symmetric, and y != z
+    rng = random.Random(15)
+    for n in range(7):
+        for _ in range(12):
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            pairs = []
+            while len(pairs) < 4:
+                y = [rng.randint(-3, 3) for _ in range(n)]
+                z = [rng.randint(-3, 3) for _ in range(n)]
+                if y != z or n == 0:
+                    pairs.append((y, z))
+            _numerator_oracles_agree(rows, pairs)
+
+
+def test_bilinear_numerator_refuses_shape_mismatch():
+    a = [[0, 1], [1, 0]]
+    phi = char_poly(a)
+    cols = krylov_columns(a, [1, 0], 2)
+    bad = [
+        (phi[:-1], [1, 0], cols),
+        (phi, [1], cols),
+        (phi, [1, 0], cols[:1]),
+        (phi, [1, 0], [cols[0], [0]]),
+    ]
+    for args in bad:
+        with pytest.raises(ValueError, match="shape mismatch"):
+            bilinear_numerator_fractions(*args)
 
 
 def test_matmul_and_transpose():
