@@ -14,7 +14,7 @@ import io
 import itertools
 import json
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import control
 from .errors import Graph6Error, InternalConsistencyError
@@ -22,20 +22,6 @@ from .graphs import parse_graph6
 
 SUBSET_GUARD = 16
 CHUNKSIZE = 64
-
-CSV_COLUMNS = [
-    "line",
-    "graph6",
-    "n",
-    "rank_full",
-    "dual_degree_full",
-    "controllable_full",
-    "controllable_vertices",
-    "irreducible_charpoly",
-    "controllable_subsets",
-    "total_subsets",
-    "error",
-]
 
 CSV_FORMAT_VERSION = 1
 
@@ -60,6 +46,9 @@ class CensusRow:
     controllable_subsets: int | None = None
     total_subsets: int | None = None
     error: str | None = None
+
+
+CSV_COLUMNS = [f.name for f in fields(CensusRow)]
 
 
 @dataclass
@@ -88,6 +77,9 @@ def analyze_line(task) -> CensusRow:
     if max_n is not None and g.v > max_n:
         row.error = f"graph on {g.v} vertices exceeds --max-n {max_n}"
         return row
+    if "subsets" in modes and g.v > SUBSET_GUARD:
+        row.error = f"subset enumeration guarded at v <= {SUBSET_GUARD}"
+        return row
     try:
         # phi's factors over Q, or None for a repeated root: every verdict
         # below but the rank of W(1) is read from them
@@ -111,9 +103,6 @@ def analyze_line(task) -> CensusRow:
                 "irreducible characteristic polynomial but a pair is not controllable"
             )
         if "subsets" in modes:
-            if g.v > SUBSET_GUARD:
-                row.error = f"subset enumeration guarded at v <= {SUBSET_GUARD}"
-                return row
             count, whole = control.controllable_subset_count(g, factors)
             if row.controllable_full not in (None, whole):
                 raise InternalConsistencyError(

@@ -14,8 +14,9 @@ and a vertex u is iff no f_i divides phi(X minus u).
 
 `full_reports` builds the reports of many pairs of one graph in one pass:
 phi's factors passed in, each subset's walk matrix summed from its
-members' singleton walks, phi_S read from phi and those walk columns, and
-every report checked for rank W(z) = v - deg gcd(phi_S, phi).
+members' walks W(e_u) (`vertex_walks`), phi_S read from phi and those
+walk columns, and every report checked for
+rank W(z) = v - deg gcd(phi_S, phi).
 `full_report` is its one-pair call.
 """
 
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 from . import irreducible
@@ -105,6 +105,16 @@ def is_controllable_rank(p: PairSpec) -> bool:
     return walk_matrix_rank(p) == p.graph.v
 
 
+def vertex_walks(g: Graph) -> list[list[list]]:
+    """W(e_u) for every vertex u, as its columns e_u, A e_u, ...; A^k e_u is
+    also column u of A^k.  W(z) is linear in z, so a subset's walk is the
+    sum of its members' walks."""
+    v = g.v
+    return [
+        krylov_columns(g.rows, [int(i == u) for i in range(v)], v) for u in range(v)
+    ]
+
+
 def controllable_subset_count(g: Graph, factors: Sequence[tuple] | None) -> tuple[int, bool]:
     """Number of subsets S, the empty one included, with (X, S) controllable,
     and whether S = V is; `factors` is `char_poly_factors(g)`.
@@ -118,20 +128,18 @@ def controllable_subset_count(g: Graph, factors: Sequence[tuple] | None) -> tupl
     other factors' roots and invertible on those of f_i's, and a rational z
     orthogonal to one eigenvector of a root of f_i is orthogonal to its
     Galois conjugates, the eigenvectors of every root of f_i.  As h_i(A) z
-    is linear in z, the subsets are visited in Gray-code order, each step
-    adding or subtracting the column h_i(A) e_u = sum_k h_i[k] A^k e_u of
-    one vertex, read from its walk W(e_u).  Each column is packed into one
-    integer, base 2^bits above twice any partial sum of an entry, so that
-    a sum is zero iff every entry is.  At S = V the sums must equal
-    h_i(A) 1, and the verdict must match the rank of W(1).
+    is linear in z, each factor's sums are built by doubling, indexed by
+    bitmask: from [0], each vertex u appends every sum so far plus its
+    column h_i(A) e_u = sum_k h_i[k] A^k e_u, read from `vertex_walks`.
+    Each column is packed into one integer, base 2^bits above twice any
+    sum of an entry, so that a sum is zero iff every entry is.  At S = V,
+    the last sum, the sums must equal h_i(A) 1, and the verdict must match
+    the rank of W(1).
     """
     v = g.v
     if v == 0:
         return 1, True  # the empty subset, with an empty, invertible W
-    # W(e_u) for every vertex u; A^k e_u is also column u of A^k
-    walks = [
-        krylov_columns(g.rows, [int(i == u) for i in range(v)], v) for u in range(v)
-    ]
+    walks = vertex_walks(g)
     repeated = int_rank([[x for w in walks for x in w[k]] for k in range(v)]) < v
     if repeated != (factors is None):
         raise InternalConsistencyError(
@@ -151,24 +159,18 @@ def controllable_subset_count(g: Graph, factors: Sequence[tuple] | None) -> tupl
     def pack(col):
         return sum(x << bits * j for j, x in enumerate(col))
 
-    # Gray-code subset k is k ^ (k >> 1); step k toggles the lowest set bit
-    # u of k, adding vertex u when subset k holds it and removing it if not
-    steps = []
-    for k in range(1, 1 << v):
-        u = (k & -k).bit_length() - 1
-        steps.append(u if (k ^ k >> 1) >> u & 1 else u + v)
-    sums = []
+    sums = []  # sums[i][k]: packed h_i(A) z for the subset with bitmask k
     for c in cols:
-        signed = [pack(col) for col in c]
-        signed += [-x for x in signed]
-        sums.append(list(accumulate(map(signed.__getitem__, steps), initial=0)))
-    at_v = next(k for k in range(1 << v) if k ^ k >> 1 == (1 << v) - 1)
+        s = [0]
+        for col in map(pack, c):
+            s += [x + col for x in s]
+        sums.append(s)
     ones = krylov_columns(g.rows, [1] * v, v)
-    if [s[at_v] for s in sums] != [pack(apply(h, ones)) for h in hs]:
+    if [s[-1] for s in sums] != [pack(apply(h, ones)) for h in hs]:
         raise InternalConsistencyError(
             "summed vertex walk columns h_i(A) e_u differ from h_i(A) 1"
         )
-    whole = all(s[at_v] for s in sums)
+    whole = all(s[-1] for s in sums)
     if whole != (int_rank(ones) == v):
         raise InternalConsistencyError(
             "factor criterion disagrees with the walk-matrix rank at S = V"
@@ -287,33 +289,31 @@ def full_reports(
     verdicts.  A singleton {u} also checks its phi_S against phi(X minus u)
     from the adjugate diagonal, a second computation of one polynomial.
 
-    W(z) is linear in z, so a subset whose members were all reported as
-    singletons before takes W as the sum of their walks W(e_u), and its
-    covering radius from their BFS distance rows; any other pair is walked
-    directly.  `census.all_subsets` lists the singletons before every
-    larger subset.  Nothing is kept per subset: memory is O(v^3).
+    W(z) is linear in z, so with more than one pair, every nonempty subset
+    takes W as the sum of its members' walks from `vertex_walks`, and its
+    covering radius from their BFS distance rows; any other pair, and a
+    lone pair, is walked directly.  Nothing is kept per subset: memory is
+    O(v^3).
     """
     v = g.v
     if any(p.graph != g for p in pairs):
         raise ValueError("every pair must be on the graph given")
     phi = graph_char_poly(g)
     deleted = vertex_deleted_char_polys(g)
-    singles = {}  # u -> (W(e_u) flattened, BFS distance row of u)
+    table = len(pairs) > 1
+    if table:  # W(e_u) flattened and the BFS distance row of u, per vertex u
+        walks = [[x for c in w for x in c] for w in vertex_walks(g)]
+        dists = [distances_from(g, (u,)) for u in range(v)]
     reports = []
     for p in pairs:
         s = p.subset
-        if s and all(u in singles for u in s):
-            flat = list(map(sum, zip(*(singles[u][0] for u in s))))
+        if s and table:
+            flat = list(map(sum, zip(*(walks[u] for u in s))))
             cols = [flat[k : k + v] for k in range(0, v * v, v)]
-            radius = max(map(min, zip(*(singles[u][1] for u in s))))
+            radius = max(map(min, zip(*(dists[u] for u in s))))
         else:
             cols = walk_columns(p)
-            if s is not None and len(s) == 1:
-                row = distances_from(g, s)
-                singles[s[0]] = ([x for c in cols for x in c], row)
-                radius = max(row)
-            else:
-                radius = None if s is None else covering_radius(g, s)
+            radius = None if s is None else covering_radius(g, s)
         rank = int_rank(cols)
         phi_s = trim(bilinear_numerator_fractions(phi, p.vector, cols))
         if factors is None:

@@ -10,6 +10,7 @@ from ctrlgraph import census, control
 from ctrlgraph.census import CensusConfig, run_census, rows_to_csv
 from ctrlgraph.control import ADJUGATE_CACHE_SIZE
 from ctrlgraph.errors import InternalConsistencyError
+from ctrlgraph.graphs import emit_graph6, path
 
 from conftest import census_lines
 
@@ -140,6 +141,20 @@ def test_max_n_guard():
     assert summary.errors == 3
 
 
+def test_subsets_guard_comes_before_factoring(monkeypatch):
+    # a graph past the guard gets its error row without phi being factored
+    def refuse(g):
+        raise RuntimeError(f"phi of a {g.v}-vertex graph factored")
+
+    monkeypatch.setattr(control, "char_poly_factors", refuse)
+    line = emit_graph6(path(census.SUBSET_GUARD + 1))
+    for modes in (("subsets",), ("full", "vertices", "subsets")):
+        rows, summary = run_census([line], CensusConfig(modes=modes))
+        assert rows[0].n == census.SUBSET_GUARD + 1
+        assert rows[0].error == f"subset enumeration guarded at v <= {census.SUBSET_GUARD}"
+        assert summary.errors == 1
+
+
 def test_summary_json_matches_schema():
     schema = json.loads((DOCS / "census_summary.schema.json").read_text())
     _, summary = run_census(list(census_lines(3)), CensusConfig())
@@ -152,6 +167,11 @@ def test_csv_header_matches_doc():
         assert f"`{col}`" in doc
     header = rows_to_csv([]).splitlines()[0]
     assert header == ",".join(census.CSV_COLUMNS)
+    assert header == (
+        "line,graph6,n,rank_full,dual_degree_full,controllable_full,"
+        "controllable_vertices,irreducible_charpoly,controllable_subsets,"
+        "total_subsets,error"
+    )
 
 
 def test_graph_keyed_caches_stay_bounded():

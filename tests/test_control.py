@@ -202,8 +202,8 @@ def with_verdicts(reports):
 
 
 def test_full_reports_match_per_pair_reference():
-    # every subset in all_subsets order (singletons first: larger subsets
-    # are summed), with phi's factors and with the poly_gcd route
+    # every subset, summed from the vertex walks, with phi's factors and
+    # with the poly_gcd route
     graphs = [Graph.from_edges(0, ()), K1, *all_graphs_upto(6)]
     for g in graphs:
         pairs = [PairSpec.from_subset(g, s) for s in all_subsets(g.v)]
@@ -240,7 +240,9 @@ def test_full_reports_walk_once_per_singleton(monkeypatch):
     assert walks == [(1,) * 5]  # one Krylov pass and no per-vertex walk
     walks.clear()
     full_reports(g, [PairSpec.from_subset(g, s) for s in all_subsets(5)], None)
-    assert walks == [(0,) * 5] + [tuple(int(i == u) for i in range(5)) for u in range(5)]
+    # the vertex walks before the loop, then the empty subset walked directly;
+    # every larger subset is summed from the vertex walks
+    assert walks == [tuple(int(i == u) for i in range(5)) for u in range(5)] + [(0,) * 5]
 
 
 def test_full_reports_check_rank_against_pole_count(monkeypatch):
@@ -346,6 +348,32 @@ def test_subset_count_matches_per_subset_loop():
         assert subset_count(g) == subset_count_by_rank(g), g
     assert subset_count(Graph.from_edges(0, ())) == 1  # the empty subset
     assert subset_count(K1) == 1
+
+
+def graphs_beyond_data():
+    """Paths, cycles and seeded G(n, 1/2) graphs on 9 and 10 vertices,
+    past the 8 of data/."""
+    for n in (9, 10):
+        yield path(n)
+        yield cycle(n)
+        for seed in range(2):
+            bits = random.Random(seed).getrandbits(n * (n - 1) // 2)
+            edges = itertools.combinations(range(n), 2)
+            yield Graph.from_edges(n, [e for k, e in enumerate(edges) if bits >> k & 1])
+
+
+def test_subset_count_beyond_data_matches_per_subset_loop():
+    for g in graphs_beyond_data():
+        assert subset_count(g) == subset_count_by_rank(g), g
+
+
+def test_full_reports_beyond_data_match_one_pair_calls():
+    # the vertex-walk table against one direct walk per pair
+    for g in graphs_beyond_data():
+        factors = char_poly_factors(g)
+        pairs = [PairSpec.from_subset(g, s) for s in all_subsets(g.v)]
+        alone = [full_report(p, factors) for p in pairs]
+        assert with_verdicts(full_reports(g, pairs, factors)) == with_verdicts(alone), g
 
 
 def test_subset_count_full_verdict_matches_rank():

@@ -114,7 +114,8 @@ def test_census_bytes_at_two_workers(tmp_path):
 
 
 def test_census_subsets_bytes(tmp_path):
-    # the Gray-code count must give the bytes of one rank test per subset
+    # the bitmask-indexed subset sums must give the bytes of one rank test
+    # per subset
     for n, pins in SUBSETS.items():
         source = DATA_DIR / f"graphs{n}.g6"
         assert census_digests(tmp_path, source, "--mode", "subsets") == pins, n
