@@ -16,14 +16,18 @@ and a vertex u is iff no f_i divides phi(X minus u).
 phi's factors passed in, each subset's walk matrix summed from its
 members' walks W(e_u) (`vertex_walks`), phi_S read from phi and those
 walk columns, and every report checked for
-rank W(z) = v - deg gcd(phi_S, phi).
-`full_report` is its one-pair call.
+rank W(z) = v - deg gcd(phi_S, phi).  That degree is read from the
+irreducible factors f_i of A's minimal polynomial phi / gcd(phi, phi') and
+their multiplicities m_i in phi: passed in for a squarefree phi (every
+m_i = 1), or found once per call (`irreducible.factor_powers`).
+`full_report` is its one-pair call, which is never factored: with no
+factors passed, it takes one `poly_gcd(phi_S, phi)`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 from . import irreducible
@@ -36,7 +40,7 @@ from .matrices import (
     krylov_columns,
     transpose,
 )
-from .polys import divides, exact_div, poly_gcd, sub, trim
+from .polys import derivative, divides, exact_div, mul, poly_gcd, sub, trim
 
 ALGEBRA_CHECK_BOUND = 7
 
@@ -194,9 +198,16 @@ def graph_char_poly(g: Graph) -> tuple:
 
 @lru_cache(maxsize=ADJUGATE_CACHE_SIZE)
 def vertex_deleted_char_polys(g: Graph) -> tuple[tuple, ...]:
-    """phi(X minus u, t) for every u, read off the adjugate diagonal."""
-    bs = graph_adjugate(g)[1]
-    return tuple(trim(bk[u][u] for bk in bs) for u in range(g.v))
+    """phi(X minus u, t) for every u, read off the adjugate diagonal and
+    checked against sum_u phi(X minus u) = phi' (the trace of adj(tI - A)
+    is the derivative of det(tI - A))."""
+    phi, bs = graph_adjugate(g)
+    deleted = tuple(trim(bk[u][u] for bk in bs) for u in range(g.v))
+    if tuple(map(sum, zip(*deleted))) != derivative(phi):  # each has degree v - 1
+        raise InternalConsistencyError(
+            "the phi(X minus u) on the adjugate diagonal do not sum to phi'"
+        )
+    return deleted
 
 
 def numerator_coeffs(p: PairSpec) -> tuple:
@@ -280,14 +291,22 @@ def full_reports(
     not factored.
 
     Per pair: the rank of W(z) by Bareiss; phi_S from phi and the same walk
-    columns (`bilinear_numerator_fractions`); and deg gcd(phi_S, phi),
-    which for a squarefree phi is the sum of deg f_i over the factors f_i
-    dividing phi_S, and otherwise comes from `poly_gcd`.  As
-    z^T (tI-A)^{-1} z = sum_theta |E_theta z|^2/(t - theta) and rank W(z)
-    counts the theta with E_theta z != 0, every report checks
-    rank W(z) = v - deg gcd(phi_S, phi), besides the agreement of the
-    verdicts.  A singleton {u} also checks its phi_S against phi(X minus u)
-    from the adjugate diagonal, a second computation of one polynomial.
+    columns (`bilinear_numerator_fractions`); and deg gcd(phi_S, phi).  As
+    z^T (tI-A)^{-1} z = phi_S / phi = sum_theta |E_theta z|^2/(t - theta),
+    for a root theta of phi of multiplicity m, (t - theta)^(m-1) divides
+    phi_S, and (t - theta)^m does iff E_theta z = 0; Galois conjugates go
+    together.  So with phi = prod f_i^{m_i} over the irreducible factors
+    f_i, deg gcd(phi_S, phi) = sum_i deg f_i (m_i if f_i^{m_i} divides
+    phi_S, else m_i - 1).  The f_i are `factors` (every m_i = 1) when
+    given; with more than one pair and no factors, they and the m_i come
+    from one `irreducible.factor_powers(phi)`; a lone pair with no factors
+    (the census's S = V report on a repeated root, a one-subset `analyze`)
+    takes one `poly_gcd(phi_S, phi)` instead, which costs less than
+    factoring.  rank W(z) counts the theta with E_theta z != 0,
+    so every report checks rank W(z) = v - deg gcd(phi_S, phi), besides
+    the agreement of the verdicts.  A singleton {u} also checks its phi_S
+    against phi(X minus u) from the adjugate diagonal, a second
+    computation of one polynomial.
 
     W(z) is linear in z, so with more than one pair, every nonempty subset
     takes W as the sum of its members' walks from `vertex_walks`, and its
@@ -304,6 +323,13 @@ def full_reports(
     if table:  # W(e_u) flattened and the BFS distance row of u, per vertex u
         walks = [[x for c in w for x in c] for w in vertex_walks(g)]
         dists = [distances_from(g, (u,)) for u in range(v)]
+    powers = None  # (f_i^{m_i}, deg f_i) for the irreducible factors f_i of phi
+    if factors is not None:
+        powers = [(f, len(f) - 1) for f in factors]
+    elif table:
+        powers = [
+            (reduce(mul, [f] * m), len(f) - 1) for f, m in irreducible.factor_powers(phi)
+        ]
     reports = []
     for p in pairs:
         s = p.subset
@@ -316,10 +342,12 @@ def full_reports(
             radius = None if s is None else covering_radius(g, s)
         rank = int_rank(cols)
         phi_s = trim(bilinear_numerator_fractions(phi, p.vector, cols))
-        if factors is None:
+        if powers is None:
             common = len(poly_gcd(phi_s, phi)) - 1
         else:
-            common = sum(len(f) - 1 for f in factors if divides(f, phi_s))
+            common = sum(
+                len(fm) - 1 if divides(fm, phi_s) else len(fm) - 1 - d for fm, d in powers
+            )
         verdicts = {"rank": rank == v, "poles": common == 0}
         if s is not None and len(s) == 1:
             if phi_s != deleted[s[0]]:

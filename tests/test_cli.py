@@ -8,8 +8,9 @@ import sympy
 from ctrlgraph import cli
 from ctrlgraph.control import graph_char_poly
 from ctrlgraph.errors import InternalConsistencyError
-from ctrlgraph.graphs import complete, emit_graph6, path
+from ctrlgraph.graphs import complete, emit_graph6, parse_graph6, path
 
+from conftest import census_lines
 from test_golden import LTI_SPEC
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
@@ -69,6 +70,22 @@ def test_analyze_report_schema(tmp_path):
         jsonschema.validate(json.loads(text), schema)
 
 
+def test_analyze_layout_is_json_dumps(capsys):
+    # the report layout written directly is the bytes json.dumps writes:
+    # every graph on up to 6 vertices, the 7-vertex graphs whose graph6
+    # holds a backslash (escaped in JSON) and the 0-vertex graph
+    backslash = [line for line in census_lines(7) if "\\" in line]
+    assert len(backslash) == 14
+    graphs = ["?", *(line for n in range(1, 7) for line in census_lines(n)), *backslash]
+    for graph6 in graphs:
+        v = parse_graph6(graph6).v
+        for selector in ("all", "vertices", "full", ",".join(map(str, range(0, v, 2)))):
+            assert cli.main(["analyze", graph6, "--subset", selector]) == cli.EXIT_OK
+            out = capsys.readouterr().out
+            want = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+            assert out == want, (graph6, selector)
+
+
 def test_analyze_bad_inputs(tmp_path):
     code, _ = run(["analyze", "B="], tmp_path)  # char below graph6 range
     assert code == cli.EXIT_INPUT
@@ -101,6 +118,28 @@ def test_analyze_singleton_numerator_check_names_graph(tmp_path, monkeypatch, ca
     assert code == cli.EXIT_INCONSISTENT and text == ""
     err = capsys.readouterr().err
     assert f"graph {P3}: phi_S read from the walk of subset [0] differs" in err
+
+
+def test_analyze_vertex_deleted_polys_must_sum_to_the_derivative(tmp_path, monkeypatch, capsys):
+    # a corrupted adjugate diagonal: phi(P3 minus 0) = t^2 - 1 read as t^2,
+    # so sum_u phi(X minus u) is no longer phi'
+    real = cli.control.graph_adjugate.__wrapped__
+
+    def corrupted(g):
+        phi, bs = real(g)
+        bs = [[list(row) for row in bk] for bk in bs]
+        bs[0][0][0] += 1
+        return phi, bs
+
+    monkeypatch.setattr(cli.control, "graph_adjugate", corrupted)
+    cli.control.vertex_deleted_char_polys.cache_clear()
+    try:
+        code, text = run(["analyze", P3, "--subset", "vertices"], tmp_path)
+    finally:
+        cli.control.vertex_deleted_char_polys.cache_clear()
+    assert code == cli.EXIT_INCONSISTENT and text == ""
+    err = capsys.readouterr().err
+    assert f"graph {P3}: the phi(X minus u) on the adjugate diagonal do not sum to phi'" in err
 
 
 def test_census_csv_and_json_agree(tmp_path):

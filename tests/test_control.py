@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ctrlgraph import control
+from ctrlgraph import control, irreducible
 from ctrlgraph.control import (
     PairSpec,
     algebra_basis_check,
@@ -201,15 +201,40 @@ def with_verdicts(reports):
     return [(r, r.verdicts) for r in reports]
 
 
+def check_against_reference(g):
+    # every subset: summed from the vertex walks, with phi's factors when it
+    # is squarefree and with the factors found inside, and one pair at a time
+    pairs = [PairSpec.from_subset(g, s) for s in all_subsets(g.v)]
+    want = with_verdicts(map(reference_report, pairs))
+    factors = char_poly_factors(g)
+    if factors is not None:
+        assert with_verdicts(full_reports(g, pairs, factors)) == want, g
+    assert with_verdicts(full_reports(g, pairs, None)) == want, g
+    assert with_verdicts(full_report(p) for p in pairs) == want, g
+
+
 def test_full_reports_match_per_pair_reference():
-    # every subset, summed from the vertex walks, with phi's factors and
-    # with the poly_gcd route
-    graphs = [Graph.from_edges(0, ()), K1, *all_graphs_upto(6)]
+    for g in [Graph.from_edges(0, ()), K1, *all_graphs_upto(6)]:
+        check_against_reference(g)
+
+
+def test_full_reports_on_repeated_roots_match_per_pair_reference():
+    # deg gcd(phi_S, phi) from the factors of phi / gcd(phi, phi') and their
+    # multiplicities, on every 7-vertex graph whose phi has a repeated root
+    graphs = [g for g in census_graphs(7) if char_poly_factors(g) is None]
+    assert len(graphs) == 464
     for g in graphs:
-        pairs = [PairSpec.from_subset(g, s) for s in all_subsets(g.v)]
-        want = with_verdicts(map(reference_report, pairs))
-        assert with_verdicts(full_reports(g, pairs, char_poly_factors(g))) == want, g
-        assert with_verdicts(full_reports(g, pairs, None)) == want, g
+        check_against_reference(g)
+
+
+def test_full_reports_check_the_multiplicity_sum(monkeypatch):
+    # K3: phi = (t - 2)(t + 1)^2.  A reducible "factor" t^2 - t - 2 of the
+    # squarefree part divides phi once, so the degrees sum to 2, not 3
+    monkeypatch.setattr(irreducible, "_zassenhaus", lambda f: [f])
+    g = complete(3)
+    pairs = [PairSpec.from_subset(g, s) for s in all_subsets(3)]
+    with pytest.raises(InternalConsistencyError, match="multiplicities have degree 2"):
+        full_reports(g, pairs, None)
 
 
 def test_full_reports_on_integer_vectors():

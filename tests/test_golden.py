@@ -49,6 +49,8 @@ ANALYZE = {
     "DhC": "d786f8c4127ae192b418ded11b49c8ace302c10e021c0af9ab3dd0490efa38c1",
     "EQjo": "556d7fb59108337fd3a1fc5d6b618caefd4fdaa4d6759f6883c20d0bfdcf689e",
     "FCrUW": "b63e40fd7dfcb38467f9a7b1299a25140650a086ca60d3e4d45d9bb499be229d",
+    # a backslash in the graph6 string, escaped in the JSON document
+    "FCZ\\o": "1895a8c01e1aea21754c7e554d07624c9c3a4bff4ae9e0ca3c33f5cf74e993ff",
 }
 
 ISOCHECK_ARGS = ["F?`e_", "1", "FB_`O", "6"]

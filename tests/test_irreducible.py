@@ -8,7 +8,7 @@ from ctrlgraph.control import char_poly_factors, controllable_subset_count, grap
 from ctrlgraph.errors import InternalConsistencyError
 from ctrlgraph.graphs import Graph, cycle, parse_graph6, path
 from ctrlgraph import irreducible
-from ctrlgraph.irreducible import factors, is_irreducible
+from ctrlgraph.irreducible import factor_powers, factors, is_irreducible
 from ctrlgraph.polys import mul, poly_squarefree
 
 from conftest import census_graphs
@@ -26,13 +26,18 @@ def sympy_irreducible(f: tuple) -> bool:
     return sympy.Poly(_expr(f), T).is_irreducible
 
 
-def sympy_factors(f: tuple) -> list[tuple]:
-    """sympy.factor_list's factors of a monic f, as sorted coefficient tuples."""
+def sympy_factor_powers(f: tuple) -> list[tuple[tuple, int]]:
+    """sympy.factor_list's factors of a monic f, as sorted coefficient
+    tuples, with their multiplicities."""
     _, found = sympy.factor_list(_expr(f), T)
     return sorted(
-        (tuple(int(c) for c in reversed(sympy.Poly(g, T).all_coeffs())) for g, _ in found),
-        key=lambda g: (len(g), g),
+        (tuple(int(c) for c in reversed(sympy.Poly(g, T).all_coeffs())), m) for g, m in found
     )
+
+
+def sympy_factors(f: tuple) -> list[tuple]:
+    """sympy.factor_list's factors of a monic f, as sorted coefficient tuples."""
+    return sorted((g for g, _ in sympy_factor_powers(f)), key=lambda g: (len(g), g))
 
 
 def test_known_cases():
@@ -161,6 +166,33 @@ def test_factors_of_random_products_against_sympy():
         assert len(found) >= 3
     assert factors((1,)) == []
     assert factors((0, 1)) == [(0, 1)]
+
+
+def test_factor_powers_against_sympy():
+    # every distinct phi with a repeated root on 1 to 7 vertices, and seeded
+    # products of random factors with repeats
+    phis = {graph_char_poly(g) for n in range(1, 8) for g in census_graphs(n)}
+    phis = {f for f in phis if not poly_squarefree(f)}
+    assert len(phis) > 300
+    rng = random.Random(1017)
+    for _ in range(40):
+        f = (1,)
+        for _ in range(rng.randint(2, 4)):
+            g = (*(rng.randint(-6, 6) for _ in range(rng.randint(1, 3))), 1)
+            for _ in range(rng.randint(1, 3)):
+                f = mul(f, g)
+        phis.add(f)
+    for f in phis:
+        found = factor_powers(f)
+        assert sorted(found) == sympy_factor_powers(f), f
+        assert [g for g, _ in found] == sorted((g for g, _ in found), key=lambda g: (len(g), g))
+    # a squarefree f: the factors of `factors`, each once
+    f = (0, -4, 9, 0, -7, 0, 1)
+    assert factor_powers(f) == [(g, 1) for g in factors(f)]
+    assert factor_powers((1,)) == []
+    assert factor_powers((0, 0, 1)) == [((0, 1), 2)]
+    with pytest.raises(ValueError, match="monic"):
+        factor_powers((0, 2))
 
 
 def test_factors_refuses_bad_input():
