@@ -81,12 +81,12 @@ def analyze_line(task) -> CensusRow:
         row.error = f"subset enumeration guarded at v <= {SUBSET_GUARD}"
         return row
     try:
-        # phi's factors over Q, or None for a repeated root: every verdict
-        # below but the rank of W(1) is read from them
+        # phi's factors over Q, or None for a repeated root: the vertex and
+        # subset counts and the irreducibility column are read from them;
+        # the S = V columns come from the rank, checked against one gcd
         factors = control.char_poly_factors(g)
         if "full" in modes:
-            p = control.PairSpec.from_subset(g, range(g.v))
-            rep = control.full_report(p, factors)
+            rep = control.full_report(control.PairSpec.from_subset(g, range(g.v)))
             row.rank_full = rep.rank_of_w
             row.dual_degree_full = rep.dual_degree
             row.controllable_full = rep.controllable

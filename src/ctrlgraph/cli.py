@@ -121,9 +121,7 @@ def cmd_analyze(args) -> int:
     pairs = [control.PairSpec.from_subset(g, s) for s in subsets]
     graph6 = args.graph6.strip()
     try:
-        # no factors passed: several pairs factor phi with its multiplicities
-        # once, and a lone pair takes one gcd, which costs less
-        reports = control.full_reports(g, pairs, None)
+        reports = control.full_reports(g, pairs)
     except InternalConsistencyError as exc:
         raise InternalConsistencyError(f"graph {graph6}: {exc}") from exc
     _write_output(args.out, _analyze_text(graph6, g.v, reports))

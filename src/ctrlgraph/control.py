@@ -13,15 +13,13 @@ controllable iff h_i(A) z != 0 for every i (`controllable_subset_count`),
 and a vertex u is iff no f_i divides phi(X minus u).
 
 `full_reports` builds the reports of many pairs of one graph in one pass:
-phi's factors passed in, each subset's walk matrix summed from its
-members' walks W(e_u) (`vertex_walks`), phi_S read from phi and those
-walk columns, and every report checked for
-rank W(z) = v - deg gcd(phi_S, phi).  That degree is read from the
-irreducible factors f_i of A's minimal polynomial phi / gcd(phi, phi') and
-their multiplicities m_i in phi: passed in for a squarefree phi (every
-m_i = 1), or found once per call (`irreducible.factor_powers`).
-`full_report` is its one-pair call, which is never factored: with no
-factors passed, it takes one `poly_gcd(phi_S, phi)`.
+each subset's walk matrix summed from its members' walks W(e_u)
+(`vertex_walks`), phi_S read from phi and those walk columns, and every
+report checked for rank W(z) = v - deg gcd(phi_S, phi).  That degree is
+read from the irreducible factors f_i of A's minimal polynomial
+phi / gcd(phi, phi') and their multiplicities m_i in phi, found once per
+call (`irreducible.factor_powers`).  `full_report` is its one-pair call,
+which is never factored: it takes one `poly_gcd(phi_S, phi)`.
 """
 
 from __future__ import annotations
@@ -283,12 +281,8 @@ def _pair_name(p: PairSpec) -> str:
     return f"vector {list(p.vector)}"
 
 
-def full_reports(
-    g: Graph, pairs: Sequence[PairSpec], factors: Sequence[tuple] | None
-) -> list[ControllabilityReport]:
-    """The report of every pair, all on g, from one pass over g; `factors`
-    is `char_poly_factors(g)`, or None when phi has a repeated root or was
-    not factored.
+def full_reports(g: Graph, pairs: Sequence[PairSpec]) -> list[ControllabilityReport]:
+    """The report of every pair, all on g, from one pass over g.
 
     Per pair: the rank of W(z) by Bareiss; phi_S from phi and the same walk
     columns (`bilinear_numerator_fractions`); and deg gcd(phi_S, phi).  As
@@ -297,16 +291,15 @@ def full_reports(
     phi_S, and (t - theta)^m does iff E_theta z = 0; Galois conjugates go
     together.  So with phi = prod f_i^{m_i} over the irreducible factors
     f_i, deg gcd(phi_S, phi) = sum_i deg f_i (m_i if f_i^{m_i} divides
-    phi_S, else m_i - 1).  The f_i are `factors` (every m_i = 1) when
-    given; with more than one pair and no factors, they and the m_i come
-    from one `irreducible.factor_powers(phi)`; a lone pair with no factors
-    (the census's S = V report on a repeated root, a one-subset `analyze`)
-    takes one `poly_gcd(phi_S, phi)` instead, which costs less than
-    factoring.  rank W(z) counts the theta with E_theta z != 0,
-    so every report checks rank W(z) = v - deg gcd(phi_S, phi), besides
-    the agreement of the verdicts.  A singleton {u} also checks its phi_S
-    against phi(X minus u) from the adjugate diagonal, a second
-    computation of one polynomial.
+    phi_S, else m_i - 1).  With more than one pair, the f_i and m_i come
+    from one `irreducible.factor_powers(phi)`; a lone pair (the census's
+    S = V report, a one-subset `analyze`) takes one `poly_gcd(phi_S, phi)`
+    instead, which costs less than factoring.  rank W(z) counts the theta
+    with E_theta z != 0, so every report checks
+    rank W(z) = v - deg gcd(phi_S, phi), besides the agreement of the
+    verdicts.  A singleton {u} also checks its phi_S against
+    phi(X minus u) from the adjugate diagonal, a second computation of one
+    polynomial.
 
     W(z) is linear in z, so with more than one pair, every nonempty subset
     takes W as the sum of its members' walks from `vertex_walks`, and its
@@ -323,10 +316,7 @@ def full_reports(
     if table:  # W(e_u) flattened and the BFS distance row of u, per vertex u
         walks = [[x for c in w for x in c] for w in vertex_walks(g)]
         dists = [distances_from(g, (u,)) for u in range(v)]
-    powers = None  # (f_i^{m_i}, deg f_i) for the irreducible factors f_i of phi
-    if factors is not None:
-        powers = [(f, len(f) - 1) for f in factors]
-    elif table:
+        # (f_i^{m_i}, deg f_i) for the irreducible factors f_i of phi
         powers = [
             (reduce(mul, [f] * m), len(f) - 1) for f, m in irreducible.factor_powers(phi)
         ]
@@ -342,12 +332,12 @@ def full_reports(
             radius = None if s is None else covering_radius(g, s)
         rank = int_rank(cols)
         phi_s = trim(bilinear_numerator_fractions(phi, p.vector, cols))
-        if powers is None:
-            common = len(poly_gcd(phi_s, phi)) - 1
-        else:
+        if table:
             common = sum(
                 len(fm) - 1 if divides(fm, phi_s) else len(fm) - 1 - d for fm, d in powers
             )
+        else:
+            common = len(poly_gcd(phi_s, phi)) - 1
         verdicts = {"rank": rank == v, "poles": common == 0}
         if s is not None and len(s) == 1:
             if phi_s != deleted[s[0]]:
@@ -385,10 +375,10 @@ def full_reports(
     return reports
 
 
-def full_report(p: PairSpec, factors: Sequence[tuple] | None = None) -> ControllabilityReport:
+def full_report(p: PairSpec) -> ControllabilityReport:
     """All characterizations of one pair, with their agreement enforced:
-    `full_reports` on that pair alone, one Krylov pass."""
-    return full_reports(p.graph, [p], factors)[0]
+    `full_reports` on that pair alone, one Krylov pass and one gcd."""
+    return full_reports(p.graph, [p])[0]
 
 
 def cone_charpoly_identity(g: Graph, members: Iterable[int]) -> tuple[tuple, tuple]:

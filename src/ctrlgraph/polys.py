@@ -84,10 +84,11 @@ def _quotient(f: Sequence[int], d: Sequence[int]) -> tuple | None:
 
 def divides(d: tuple, f: Sequence[int]) -> bool:
     """True iff d divides f exactly over the rationals, that is (Gauss's
-    lemma) iff its primitive part divides f over the integers."""
+    lemma) iff its primitive part divides f over the integers; a monic d
+    is its own primitive part."""
     if not d:
         return not f
-    return _quotient(f, primitive(d)) is not None
+    return _quotient(f, d if d[-1] == 1 else primitive(d)) is not None
 
 
 def exact_div(f: Sequence[int], d: Sequence[int]) -> tuple:

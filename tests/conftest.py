@@ -34,6 +34,18 @@ def all_subsets(v: int):
         yield from itertools.combinations(range(v), r)
 
 
+def count_calls(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends each call's arguments
+    to `calls`."""
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 @pytest.fixture(scope="session")
 def data_dir():
     return DATA_DIR

@@ -6,13 +6,13 @@ import sys
 import jsonschema
 import pytest
 
-from ctrlgraph import census, control
+from ctrlgraph import census, control, irreducible
 from ctrlgraph.census import CensusConfig, run_census, rows_to_csv
-from ctrlgraph.control import ADJUGATE_CACHE_SIZE
+from ctrlgraph.control import ADJUGATE_CACHE_SIZE, graph_char_poly
 from ctrlgraph.errors import InternalConsistencyError
-from ctrlgraph.graphs import emit_graph6, path
+from ctrlgraph.graphs import cycle, emit_graph6, path
 
-from conftest import census_lines
+from conftest import census_lines, count_calls
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCS = ROOT / "docs"
@@ -133,6 +133,17 @@ def test_subsets_full_verdict_checked_against_full_report(monkeypatch):
     failure = r"line 1 \(Bg\): factor criterion disagrees with the full report"
     with pytest.raises(InternalConsistencyError, match=failure):
         run_census(["Bg"], CensusConfig(modes=("full", "subsets")))
+
+
+def test_default_line_factors_phi_once_and_never_with_multiplicities(monkeypatch):
+    # the counts read phi's factors; the S = V report takes its own gcd
+    factored, powers = [], []
+    count_calls(monkeypatch, irreducible, "factors", factored)
+    count_calls(monkeypatch, irreducible, "factor_powers", powers)
+    for g in (path(8), cycle(8)):  # phi squarefree, phi with repeated roots
+        factored.clear()
+        census.analyze_line((1, emit_graph6(g), ("full", "vertices"), None))
+        assert factored == [(graph_char_poly(g),)] and powers == [], g
 
 
 def test_max_n_guard():

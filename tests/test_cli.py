@@ -259,7 +259,7 @@ def test_census_refuses_negative_max_n(tmp_path, capsys):
 
 
 def test_census_consistency_failure_names_line(tmp_path, monkeypatch, capsys):
-    def disagree(p, factors=None):
+    def disagree(p):
         raise InternalConsistencyError(f"characterizations disagree for {p}")
 
     monkeypatch.setattr(cli.control, "full_report", disagree)
@@ -291,11 +291,9 @@ def test_census_past_twelve_vertices(tmp_path):
 
 def test_census_irreducible_charpoly_forces_controllable(tmp_path, monkeypatch, capsys):
     # K2 is not controllable with S = V, so an irreducible phi there is a bug;
-    # the full report keeps its own poly_gcd route, so that the false factor
-    # reaches only the irreducibility check
-    full_report = cli.control.full_report
+    # the full report takes its own gcd, so the false factor reaches only the
+    # irreducibility check
     monkeypatch.setattr(cli.control, "char_poly_factors", lambda g: (graph_char_poly(g),))
-    monkeypatch.setattr(cli.control, "full_report", lambda p, factors: full_report(p))
     g6file = tmp_path / "in.g6"
     g6file.write_text("A_\n")
     code, _ = run(["census", "--input", str(g6file), "--workers", "1"], tmp_path)

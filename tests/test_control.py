@@ -34,9 +34,9 @@ from ctrlgraph.graphs import (
     path_extension,
 )
 from ctrlgraph.matrices import int_det, inverse
-from ctrlgraph.polys import interpolate_fractions, mul, poly_gcd, sub, trim
+from ctrlgraph.polys import derivative, interpolate_fractions, mul, poly_gcd, sub, trim
 
-from conftest import all_graphs_upto, all_subsets, census_graphs
+from conftest import all_graphs_upto, all_subsets, census_graphs, count_calls
 from oracles import (
     distinct_pole_count,
     distinct_root_count,
@@ -202,14 +202,10 @@ def with_verdicts(reports):
 
 
 def check_against_reference(g):
-    # every subset: summed from the vertex walks, with phi's factors when it
-    # is squarefree and with the factors found inside, and one pair at a time
+    # every subset: summed from the vertex walks, and one pair at a time
     pairs = [PairSpec.from_subset(g, s) for s in all_subsets(g.v)]
     want = with_verdicts(map(reference_report, pairs))
-    factors = char_poly_factors(g)
-    if factors is not None:
-        assert with_verdicts(full_reports(g, pairs, factors)) == want, g
-    assert with_verdicts(full_reports(g, pairs, None)) == want, g
+    assert with_verdicts(full_reports(g, pairs)) == want, g
     assert with_verdicts(full_report(p) for p in pairs) == want, g
 
 
@@ -234,7 +230,7 @@ def test_full_reports_check_the_multiplicity_sum(monkeypatch):
     g = complete(3)
     pairs = [PairSpec.from_subset(g, s) for s in all_subsets(3)]
     with pytest.raises(InternalConsistencyError, match="multiplicities have degree 2"):
-        full_reports(g, pairs, None)
+        full_reports(g, pairs)
 
 
 def test_full_reports_on_integer_vectors():
@@ -245,9 +241,9 @@ def test_full_reports_on_integer_vectors():
             pairs.append(PairSpec.from_vector(g, [rng.randint(-3, 3) for _ in range(g.v)]))
         rng.shuffle(pairs)  # vectors and subsets mixed, singletons anywhere
         want = with_verdicts(map(reference_report, pairs))
-        assert with_verdicts(full_reports(g, pairs, char_poly_factors(g))) == want, g
+        assert with_verdicts(full_reports(g, pairs)) == want, g
         # and one pair at a time
-        alone = [full_report(p, char_poly_factors(g)) for p in pairs]
+        alone = [full_report(p) for p in pairs]
         assert with_verdicts(alone) == want, g
 
 
@@ -261,10 +257,10 @@ def test_full_reports_walk_once_per_singleton(monkeypatch):
 
     monkeypatch.setattr(control, "krylov_columns", counted)
     g = path(5)
-    full_report(PairSpec.from_subset(g, range(5)), char_poly_factors(g))
+    full_report(PairSpec.from_subset(g, range(5)))
     assert walks == [(1,) * 5]  # one Krylov pass and no per-vertex walk
     walks.clear()
-    full_reports(g, [PairSpec.from_subset(g, s) for s in all_subsets(5)], None)
+    full_reports(g, [PairSpec.from_subset(g, s) for s in all_subsets(5)])
     # the vertex walks before the loop, then the empty subset walked directly;
     # every larger subset is summed from the vertex walks
     assert walks == [tuple(int(i == u) for i in range(5)) for u in range(5)] + [(0,) * 5]
@@ -277,8 +273,6 @@ def test_full_reports_check_rank_against_pole_count(monkeypatch):
     monkeypatch.setattr(control, "int_rank", lambda rows: real(rows) - 1)
     g = path(3)
     with pytest.raises(InternalConsistencyError, match=r"rank of W\(z\) is 1.*subset \[0, 1, 2\]"):
-        full_report(PairSpec.from_subset(g, range(3)), char_poly_factors(g))
-    with pytest.raises(InternalConsistencyError, match=r"rank of W\(z\) is 1"):
         full_report(PairSpec.from_subset(g, range(3)))
 
 
@@ -291,17 +285,38 @@ def test_full_reports_check_singleton_numerator_against_deleted_poly(monkeypatch
     wrong = (real[0], sub(real[1], (1,)), real[2])
     monkeypatch.setattr(control, "vertex_deleted_char_polys", lambda h: wrong)
     pairs = [PairSpec.from_subset(g, s) for s in all_subsets(3)]
-    for factors in (char_poly_factors(g), None):
-        with pytest.raises(
-            InternalConsistencyError,
-            match=r"walk of subset \[1\] differs from phi\(X minus 1\)",
-        ):
-            full_reports(g, pairs, factors)
+    with pytest.raises(
+        InternalConsistencyError,
+        match=r"walk of subset \[1\] differs from phi\(X minus 1\)",
+    ):
+        full_reports(g, pairs)
 
 
 def test_full_reports_refuse_pairs_of_another_graph():
     with pytest.raises(ValueError, match="graph given"):
-        full_reports(path(3), [PairSpec.from_subset(cycle(3), [0])], None)
+        full_reports(path(3), [PairSpec.from_subset(cycle(3), [0])])
+
+
+def test_full_reports_pick_the_gcd_route_by_pair_count(monkeypatch):
+    # a lone pair takes one poly_gcd(phi_S, phi) and is never factored; many
+    # pairs factor phi once, and take a gcd only for gcd(phi, phi') and for
+    # the coprime verdict of each singleton
+    gcds, powers = [], []
+    count_calls(monkeypatch, control, "poly_gcd", gcds)
+    count_calls(monkeypatch, irreducible, "poly_gcd", gcds)
+    count_calls(monkeypatch, irreducible, "factor_powers", powers)
+    for g in (path(8), cycle(8)):  # phi squarefree, phi with repeated roots
+        phi = graph_char_poly(g)
+        whole = PairSpec.from_subset(g, range(8))
+        gcds.clear()
+        full_report(whole)
+        assert gcds == [(numerator_coeffs(whole), phi)] and powers == [], g
+        gcds.clear()
+        full_reports(g, [PairSpec.from_subset(g, s) for s in all_subsets(8)])
+        assert powers == [(phi,)], g
+        singletons = [(d, phi) for d in vertex_deleted_char_polys(g)]
+        assert gcds == [(phi, derivative(phi)), *singletons], g
+        powers.clear()
 
 
 def test_cone_charpoly_identity_examples():
@@ -395,10 +410,9 @@ def test_subset_count_beyond_data_matches_per_subset_loop():
 def test_full_reports_beyond_data_match_one_pair_calls():
     # the vertex-walk table against one direct walk per pair
     for g in graphs_beyond_data():
-        factors = char_poly_factors(g)
         pairs = [PairSpec.from_subset(g, s) for s in all_subsets(g.v)]
-        alone = [full_report(p, factors) for p in pairs]
-        assert with_verdicts(full_reports(g, pairs, factors)) == with_verdicts(alone), g
+        alone = [full_report(p) for p in pairs]
+        assert with_verdicts(full_reports(g, pairs)) == with_verdicts(alone), g
 
 
 def test_subset_count_full_verdict_matches_rank():
