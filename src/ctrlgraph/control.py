@@ -16,16 +16,16 @@ and a vertex u is iff no f_i divides phi(X minus u).
 each subset's walk matrix summed from its members' walks W(e_u)
 (`vertex_walks`), phi_S read from phi and those walk columns, and every
 report checked for rank W(z) = v - deg gcd(phi_S, phi).  That degree is
-read from the irreducible factors f_i of A's minimal polynomial
-phi / gcd(phi, phi') and their multiplicities m_i in phi, found once per
-call (`irreducible.factor_powers`).  `full_report` is its one-pair call,
-which is never factored: it takes one `poly_gcd(phi_S, phi)`.
+deg d, for d = gcd(phi, phi'), plus deg f_i for each irreducible factor f_i
+of A's minimal polynomial phi / d with d f_i dividing phi_S; d and the f_i
+are found once per call (`irreducible.factors`).  `full_report` is its
+one-pair call, which is never factored: it takes one `poly_gcd(phi_S, phi)`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import irreducible
@@ -290,16 +290,18 @@ def full_reports(g: Graph, pairs: Sequence[PairSpec]) -> list[ControllabilityRep
     for a root theta of phi of multiplicity m, (t - theta)^(m-1) divides
     phi_S, and (t - theta)^m does iff E_theta z = 0; Galois conjugates go
     together.  So with phi = prod f_i^{m_i} over the irreducible factors
-    f_i, deg gcd(phi_S, phi) = sum_i deg f_i (m_i if f_i^{m_i} divides
-    phi_S, else m_i - 1).  With more than one pair, the f_i and m_i come
-    from one `irreducible.factor_powers(phi)`; a lone pair (the census's
-    S = V report, a one-subset `analyze`) takes one `poly_gcd(phi_S, phi)`
-    instead, which costs less than factoring.  rank W(z) counts the theta
-    with E_theta z != 0, so every report checks
+    f_i, d = gcd(phi, phi') = prod f_i^{m_i - 1} divides every phi_S, and
+    deg gcd(phi_S, phi) = deg d + sum deg f_i over the f_i with d f_i
+    dividing phi_S: no multiplicity is needed.  With more than one pair,
+    the f_i come from one `irreducible.factors(phi / d)`, the factors of
+    the minimal polynomial, which must be squarefree; a lone pair (the
+    census's S = V report, a one-subset `analyze`) takes one
+    `poly_gcd(phi_S, phi)` instead, which costs less than factoring.
+    rank W(z) counts the theta with E_theta z != 0, so every report checks
     rank W(z) = v - deg gcd(phi_S, phi), besides the agreement of the
-    verdicts.  A singleton {u} also checks its phi_S against
-    phi(X minus u) from the adjugate diagonal, a second computation of one
-    polynomial.
+    verdicts; a reducible "factor" fails this check.  A singleton {u} also
+    checks its phi_S against phi(X minus u) from the adjugate diagonal, a
+    second computation of one polynomial.
 
     W(z) is linear in z, so with more than one pair, every nonempty subset
     takes W as the sum of its members' walks from `vertex_walks`, and its
@@ -316,10 +318,14 @@ def full_reports(g: Graph, pairs: Sequence[PairSpec]) -> list[ControllabilityRep
     if table:  # W(e_u) flattened and the BFS distance row of u, per vertex u
         walks = [[x for c in w for x in c] for w in vertex_walks(g)]
         dists = [distances_from(g, (u,)) for u in range(v)]
-        # (f_i^{m_i}, deg f_i) for the irreducible factors f_i of phi
-        powers = [
-            (reduce(mul, [f] * m), len(f) - 1) for f, m in irreducible.factor_powers(phi)
-        ]
+        # (d f_i, deg f_i) for the irreducible factors f_i of phi / d
+        d = poly_gcd(phi, derivative(phi))
+        mu = irreducible.factors(exact_div(phi, d))
+        if mu is None:
+            raise InternalConsistencyError(
+                f"phi / gcd(phi, phi') has a repeated root for phi = {phi}"
+            )
+        divisors = [(mul(d, f), len(f) - 1) for f in mu]
     reports = []
     for p in pairs:
         s = p.subset
@@ -333,9 +339,7 @@ def full_reports(g: Graph, pairs: Sequence[PairSpec]) -> list[ControllabilityRep
         rank = int_rank(cols)
         phi_s = trim(bilinear_numerator_fractions(phi, p.vector, cols))
         if table:
-            common = sum(
-                len(fm) - 1 if divides(fm, phi_s) else len(fm) - 1 - d for fm, d in powers
-            )
+            common = len(d) - 1 + sum(k for df, k in divisors if divides(df, phi_s))
         else:
             common = len(poly_gcd(phi_s, phi)) - 1
         verdicts = {"rank": rank == v, "poles": common == 0}

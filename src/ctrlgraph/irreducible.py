@@ -1,8 +1,8 @@
 """Exact factorization over the rationals of monic integer polynomials,
-and the irreducibility test read from it.  `factors` runs the one
-squarefree test and returns None on a repeated root; `factor_powers`
-factors the squarefree part f / gcd(f, f') instead and reads each
-factor's multiplicity by exact division.
+and the irreducibility test read from it.  `factors` is the one
+factoring function: it runs the one squarefree test and returns None on a
+repeated root, so a caller that wants the factors of f whatever its roots
+factors the squarefree part f / gcd(f, f').
 
 One Berlekamp-Zassenhaus pass (von zur Gathen & Gerhard, *Modern Computer
 Algebra*, ch. 14-15), with no degree cap.  A factor t is divided out
@@ -35,7 +35,6 @@ from .polys import (
     divides,
     exact_div,
     mul,
-    poly_gcd,
     poly_squarefree,
     sub,
     trim,
@@ -218,14 +217,15 @@ def _zassenhaus(f: tuple) -> list[tuple]:
     return [*found, f]
 
 
-def _require_monic(f: tuple) -> None:
+def factors(f: tuple) -> list[tuple] | None:
+    """The monic irreducible factors over the rationals of a monic integer
+    polynomial f, by degree and then coefficients, or None when f has a
+    repeated root; the constant 1 has none.  Their product is checked to
+    be f."""
     if not f or f[-1] != 1:
         raise ValueError(f"factorization requires a monic polynomial, got {f}")
-
-
-def _squarefree_factors(f: tuple) -> list[tuple]:
-    """The monic irreducible factors of a monic squarefree f, by degree and
-    then coefficients; their product is checked to be f."""
+    if not poly_squarefree(f):
+        return None
     if len(f) > 1 and f[0] == 0:
         found, rest = [(0, 1)], f[1:]
     else:
@@ -240,47 +240,6 @@ def _squarefree_factors(f: tuple) -> list[tuple]:
     return sorted(found, key=lambda g: (len(g), g))
 
 
-def factors(f: tuple) -> list[tuple] | None:
-    """The monic irreducible factors over the rationals of a monic integer
-    polynomial f, by degree and then coefficients, or None when f has a
-    repeated root; the constant 1 has none.  Their product is checked to
-    be f."""
-    _require_monic(f)
-    return _squarefree_factors(f) if poly_squarefree(f) else None
-
-
-def factor_powers(f: tuple) -> list[tuple[tuple, int]]:
-    """(g, m) for each monic irreducible factor g over the rationals of a
-    monic integer polynomial f, in the order of `factors`, and its
-    multiplicity m.  The g are the factors of the squarefree part
-    f / gcd(f, f'), which is never tested again, and m counts the exact
-    divisions of f by g; the m deg g must sum to deg f."""
-    _require_monic(f)
-    rest = f
-    found = []
-    for g in _squarefree_factors(exact_div(f, poly_gcd(f, derivative(f)))):
-        m = 0
-        while divides(g, rest):
-            rest, m = exact_div(rest, g), m + 1
-        found.append((g, m))
-    total = sum(m * (len(g) - 1) for g, m in found)
-    if total != len(f) - 1:
-        raise InternalConsistencyError(
-            f"the factors of the squarefree part of {f} with their multiplicities"
-            f" have degree {total}"
-        )
-    return found
-
-
 def is_irreducible(f: tuple) -> bool:
     """Irreducibility over the rationals for a monic integer polynomial."""
-    if len(f) < 2:
-        return False
-    if f[-1] != 1:
-        raise ValueError("irreducibility test requires a monic polynomial")
-    if len(f) == 2:
-        return True
-    if f[0] == 0:
-        return False
-    found = factors(f)
-    return found is not None and len(found) == 1
+    return len(f) > 1 and factors(f) == [f]

@@ -135,15 +135,14 @@ def test_subsets_full_verdict_checked_against_full_report(monkeypatch):
         run_census(["Bg"], CensusConfig(modes=("full", "subsets")))
 
 
-def test_default_line_factors_phi_once_and_never_with_multiplicities(monkeypatch):
+def test_default_line_factors_phi_once(monkeypatch):
     # the counts read phi's factors; the S = V report takes its own gcd
-    factored, powers = [], []
+    factored = []
     count_calls(monkeypatch, irreducible, "factors", factored)
-    count_calls(monkeypatch, irreducible, "factor_powers", powers)
     for g in (path(8), cycle(8)):  # phi squarefree, phi with repeated roots
         factored.clear()
         census.analyze_line((1, emit_graph6(g), ("full", "vertices"), None))
-        assert factored == [(graph_char_poly(g),)] and powers == [], g
+        assert factored == [(graph_char_poly(g),)], g
 
 
 def test_max_n_guard():

@@ -34,7 +34,7 @@ from ctrlgraph.graphs import (
     path_extension,
 )
 from ctrlgraph.matrices import int_det, inverse
-from ctrlgraph.polys import derivative, interpolate_fractions, mul, poly_gcd, sub, trim
+from ctrlgraph.polys import derivative, exact_div, interpolate_fractions, mul, poly_gcd, sub, trim
 
 from conftest import all_graphs_upto, all_subsets, census_graphs, count_calls
 from oracles import (
@@ -224,12 +224,24 @@ def test_full_reports_on_repeated_roots_match_per_pair_reference():
 
 
 def test_full_reports_check_the_multiplicity_sum(monkeypatch):
-    # K3: phi = (t - 2)(t + 1)^2.  A reducible "factor" t^2 - t - 2 of the
-    # squarefree part divides phi once, so the degrees sum to 2, not 3
+    # K3: phi = (t - 2)(t + 1)^2 and d = t + 1.  A reducible "factor"
+    # t^2 - t - 2 of phi / d makes d f = phi, which does not divide phi_S of
+    # S = V, so gcd(phi_S, phi) reads as degree 1 against a rank of 1
     monkeypatch.setattr(irreducible, "_zassenhaus", lambda f: [f])
     g = complete(3)
     pairs = [PairSpec.from_subset(g, s) for s in all_subsets(3)]
-    with pytest.raises(InternalConsistencyError, match="multiplicities have degree 2"):
+    with pytest.raises(InternalConsistencyError, match=r"rank of W\(z\) is 1.*subset \[0, 1, 2\]"):
+        full_reports(g, pairs)
+
+
+def test_full_reports_check_the_minimal_polynomial_is_squarefree(monkeypatch):
+    # with gcd(phi, phi') read as 1, phi / d is phi itself, whose repeated
+    # root the squarefree test in `factors` finds
+    monkeypatch.setattr(control, "poly_gcd", lambda f, g: (1,))
+    g = complete(3)
+    pairs = [PairSpec.from_subset(g, s) for s in all_subsets(3)]
+    failure = r"phi / gcd\(phi, phi'\) has a repeated root"
+    with pytest.raises(InternalConsistencyError, match=failure):
         full_reports(g, pairs)
 
 
@@ -299,24 +311,24 @@ def test_full_reports_refuse_pairs_of_another_graph():
 
 def test_full_reports_pick_the_gcd_route_by_pair_count(monkeypatch):
     # a lone pair takes one poly_gcd(phi_S, phi) and is never factored; many
-    # pairs factor phi once, and take a gcd only for gcd(phi, phi') and for
-    # the coprime verdict of each singleton
-    gcds, powers = [], []
+    # pairs factor phi / gcd(phi, phi') once, and take a gcd only for
+    # gcd(phi, phi') and for the coprime verdict of each singleton
+    gcds, factored = [], []
     count_calls(monkeypatch, control, "poly_gcd", gcds)
-    count_calls(monkeypatch, irreducible, "poly_gcd", gcds)
-    count_calls(monkeypatch, irreducible, "factor_powers", powers)
+    count_calls(monkeypatch, irreducible, "factors", factored)
     for g in (path(8), cycle(8)):  # phi squarefree, phi with repeated roots
         phi = graph_char_poly(g)
         whole = PairSpec.from_subset(g, range(8))
         gcds.clear()
         full_report(whole)
-        assert gcds == [(numerator_coeffs(whole), phi)] and powers == [], g
+        assert gcds == [(numerator_coeffs(whole), phi)] and factored == [], g
         gcds.clear()
         full_reports(g, [PairSpec.from_subset(g, s) for s in all_subsets(8)])
-        assert powers == [(phi,)], g
-        singletons = [(d, phi) for d in vertex_deleted_char_polys(g)]
+        d = poly_gcd(phi, derivative(phi))
+        assert factored == [(exact_div(phi, d),)], g
+        singletons = [(deleted, phi) for deleted in vertex_deleted_char_polys(g)]
         assert gcds == [(phi, derivative(phi)), *singletons], g
-        powers.clear()
+        factored.clear()
 
 
 def test_cone_charpoly_identity_examples():

@@ -8,8 +8,8 @@ from ctrlgraph.control import char_poly_factors, controllable_subset_count, grap
 from ctrlgraph.errors import InternalConsistencyError
 from ctrlgraph.graphs import Graph, cycle, parse_graph6, path
 from ctrlgraph import irreducible
-from ctrlgraph.irreducible import factor_powers, factors, is_irreducible
-from ctrlgraph.polys import mul, poly_squarefree
+from ctrlgraph.irreducible import factors, is_irreducible
+from ctrlgraph.polys import derivative, exact_div, mul, poly_gcd, poly_squarefree
 
 from conftest import census_graphs
 from oracles import poly_from_roots
@@ -26,18 +26,14 @@ def sympy_irreducible(f: tuple) -> bool:
     return sympy.Poly(_expr(f), T).is_irreducible
 
 
-def sympy_factor_powers(f: tuple) -> list[tuple[tuple, int]]:
-    """sympy.factor_list's factors of a monic f, as sorted coefficient
-    tuples, with their multiplicities."""
+def sympy_factors(f: tuple) -> list[tuple]:
+    """sympy.factor_list's distinct factors of a monic f, as coefficient
+    tuples sorted by degree and then coefficients."""
     _, found = sympy.factor_list(_expr(f), T)
     return sorted(
-        (tuple(int(c) for c in reversed(sympy.Poly(g, T).all_coeffs())), m) for g, m in found
+        (tuple(int(c) for c in reversed(sympy.Poly(g, T).all_coeffs())) for g, _ in found),
+        key=lambda g: (len(g), g),
     )
-
-
-def sympy_factors(f: tuple) -> list[tuple]:
-    """sympy.factor_list's factors of a monic f, as sorted coefficient tuples."""
-    return sorted((g for g, _ in sympy_factor_powers(f)), key=lambda g: (len(g), g))
 
 
 def test_known_cases():
@@ -80,6 +76,8 @@ def test_input_validation():
     assert not is_irreducible((0,) * 13 + (1,))  # t^13: no degree cap
     assert not is_irreducible((5,))
     assert not is_irreducible(())
+    assert is_irreducible((0, 1))
+    assert not is_irreducible((0, 0, 1))
 
 
 def test_random_monic_against_sympy():
@@ -168,9 +166,10 @@ def test_factors_of_random_products_against_sympy():
     assert factors((0, 1)) == [(0, 1)]
 
 
-def test_factor_powers_against_sympy():
+def test_squarefree_part_factors_against_sympy():
     # every distinct phi with a repeated root on 1 to 7 vertices, and seeded
-    # products of random factors with repeats
+    # products of random factors with repeats: the factors of the squarefree
+    # part f / gcd(f, f') are the distinct factors of f
     phis = {graph_char_poly(g) for n in range(1, 8) for g in census_graphs(n)}
     phis = {f for f in phis if not poly_squarefree(f)}
     assert len(phis) > 300
@@ -183,16 +182,7 @@ def test_factor_powers_against_sympy():
                 f = mul(f, g)
         phis.add(f)
     for f in phis:
-        found = factor_powers(f)
-        assert sorted(found) == sympy_factor_powers(f), f
-        assert [g for g, _ in found] == sorted((g for g, _ in found), key=lambda g: (len(g), g))
-    # a squarefree f: the factors of `factors`, each once
-    f = (0, -4, 9, 0, -7, 0, 1)
-    assert factor_powers(f) == [(g, 1) for g in factors(f)]
-    assert factor_powers((1,)) == []
-    assert factor_powers((0, 0, 1)) == [((0, 1), 2)]
-    with pytest.raises(ValueError, match="monic"):
-        factor_powers((0, 2))
+        assert factors(exact_div(f, poly_gcd(f, derivative(f)))) == sympy_factors(f), f
 
 
 def test_factors_refuses_bad_input():
