@@ -85,23 +85,15 @@ def analyze_line(task) -> CensusRow:
         # subset counts and the irreducibility column are read from them;
         # the S = V columns come from the rank, checked against one gcd
         factors = control.char_poly_factors(g)
+        irreducible = factors is not None and len(factors) == 1
         if "full" in modes:
             rep = control.full_report(control.PairSpec.from_subset(g, range(g.v)))
             row.rank_full = rep.rank_of_w
             row.dual_degree_full = rep.dual_degree
             row.controllable_full = rep.controllable
-            row.irreducible_charpoly = factors is not None and len(factors) == 1
+            row.irreducible_charpoly = irreducible
         if "vertices" in modes:
             row.controllable_vertices = control.controllable_vertex_count(g, factors)
-        # An irreducible phi has simple, Galois-conjugate eigenvalues: an
-        # eigenvector orthogonal to a nonzero rational z would make all of
-        # them so, hence every nonempty S is controllable.
-        if row.irreducible_charpoly and (
-            not row.controllable_full or row.controllable_vertices not in (None, g.v)
-        ):
-            raise InternalConsistencyError(
-                "irreducible characteristic polynomial but a pair is not controllable"
-            )
         if "subsets" in modes:
             count, whole = control.controllable_subset_count(g, factors)
             if row.controllable_full not in (None, whole):
@@ -110,6 +102,17 @@ def analyze_line(task) -> CensusRow:
                 )
             row.controllable_subsets = count
             row.total_subsets = 2**g.v
+        # An irreducible phi has simple, Galois-conjugate eigenvalues: an
+        # eigenvector orthogonal to a nonzero rational z would make all of
+        # them so, hence every nonempty S is controllable, in every mode.
+        if irreducible and (
+            row.controllable_full is False
+            or row.controllable_vertices not in (None, g.v)
+            or row.controllable_subsets not in (None, 2**g.v - 1)
+        ):
+            raise InternalConsistencyError(
+                "irreducible characteristic polynomial but a pair is not controllable"
+            )
     except InternalConsistencyError as exc:
         raise InternalConsistencyError(f"line {line_no} ({row.graph6}): {exc}") from exc
     return row

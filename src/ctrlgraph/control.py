@@ -12,6 +12,10 @@ rationals: with phi squarefree and h_i = phi / f_i, the pair is
 controllable iff h_i(A) z != 0 for every i (`controllable_subset_count`),
 and a vertex u is iff no f_i divides phi(X minus u).
 
+Both subset engines read the powers of A from `packed_powers`, one
+`krylov_columns` call on the packed identity, in which each row of A^k is
+one integer.
+
 `full_reports` builds the reports of many pairs of one graph in one pass:
 each subset's walk matrix summed from its members' walks W(e_u)
 (`vertex_walks`), phi_S read from phi and those walk columns, and every
@@ -107,14 +111,29 @@ def is_controllable_rank(p: PairSpec) -> bool:
     return walk_matrix_rank(p) == p.graph.v
 
 
+def packed_powers(g: Graph, count: int, bits: int) -> list[list[int]]:
+    """The powers I, A, ..., A^{count-1} with each row packed into one
+    integer: entry [k][u] is sum_j (A^k)_uj 2^(bits j), row u of A^k, which
+    is also A^k e_u (A is symmetric).  One `krylov_columns` call on the
+    packed identity z_j = 2^(bits j): the kernel is linear, so entry u of
+    A^k z is sum_j (A^k)_uj z_j.  A slot of an entry with 0 <= x < 2^bits
+    reads back as a shift and a mask; (A^k)_uw counts the walks of length k
+    from u to w, at most (v-1)^k of them."""
+    return krylov_columns(g.rows, [1 << bits * j for j in range(g.v)], count)
+
+
 def vertex_walks(g: Graph) -> list[list[list]]:
-    """W(e_u) for every vertex u, as its columns e_u, A e_u, ...; A^k e_u is
-    also column u of A^k.  W(z) is linear in z, so a subset's walk is the
+    """W(e_u) for every vertex u, as its columns e_u, A e_u, ..., unpacked
+    from `packed_powers`: A^k e_u is row u of A^k, whose entries, walk
+    counts at most (v-1)^k <= (v-1)^(v-1), fit slots as wide as the bit
+    length of (v-1)^(v-1).  W(z) is linear in z, so a subset's walk is the
     sum of its members' walks."""
     v = g.v
-    return [
-        krylov_columns(g.rows, [int(i == u) for i in range(v)], v) for u in range(v)
-    ]
+    bits = ((v - 1) ** (v - 1)).bit_length() if v else 1
+    mask = (1 << bits) - 1
+    shifts = [bits * j for j in range(v)]
+    powers = packed_powers(g, v, bits)
+    return [[[r >> s & mask for s in shifts] for r in row] for row in zip(*powers)]
 
 
 def controllable_subset_count(g: Graph, factors: Sequence[tuple] | None) -> tuple[int, bool]:
@@ -124,47 +143,61 @@ def controllable_subset_count(g: Graph, factors: Sequence[tuple] | None) -> tupl
     Every column A^k z of W(z) lies in {p(A) z : deg p < d} for d the degree
     of A's minimal polynomial, the rank of I, A, ..., A^{v-1}; so
     rank W(z) <= d, and when d < v (A has a repeated eigenvalue, that is
-    phi is not squarefree) no subset is controllable.  Otherwise, with
-    h_i = phi / f_i for the factors f_i of phi, (X, z) is controllable iff
-    h_i(A) z != 0 for every i: h_i(A) is zero on the eigenspaces of the
-    other factors' roots and invertible on those of f_i's, and a rational z
-    orthogonal to one eigenvector of a root of f_i is orthogonal to its
-    Galois conjugates, the eigenvectors of every root of f_i.  As h_i(A) z
-    is linear in z, each factor's sums are built by doubling, indexed by
-    bitmask: from [0], each vertex u appends every sum so far plus its
-    column h_i(A) e_u = sum_k h_i[k] A^k e_u, read from `vertex_walks`.
-    Each column is packed into one integer, base 2^bits above twice any
-    sum of an entry, so that a sum is zero iff every entry is.  At S = V,
-    the last sum, the sums must equal h_i(A) 1, and the verdict must match
-    the rank of W(1).
+    phi is not squarefree) no subset is controllable.  d is read from the
+    v x v Gram matrix of those powers, [tr A^(k+l)] (rank M = rank M M^T
+    over Q), whose entries sum the diagonal slots of `packed_powers` up to
+    A^(2v-2).  Otherwise, with h_i = phi / f_i for the factors f_i of phi,
+    (X, z) is controllable iff h_i(A) z != 0 for every i: h_i(A) is zero on
+    the eigenspaces of the other factors' roots and invertible on those of
+    f_i's, and a rational z orthogonal to one eigenvector of a root of f_i
+    is orthogonal to its Galois conjugates, the eigenvectors of every root
+    of f_i.  As h_i(A) z is linear in z, each factor's sums are built by
+    doubling, indexed by bitmask: from [0], each vertex u appends every sum
+    so far plus its packed column h_i(A) e_u = sum_k h_i[k] A^k e_u, which
+    is the same sum over the packed rows u of the powers.
+
+    The slots are bits wide for bits the larger of two bit lengths: that of
+    (v-1)^(2v-2), above every entry of the powers, and that of
+    4v sum_k |h_i[k]| (v-1)^k, above twice every entry of a sum of at most
+    v columns h_i(A) e_u, so a signed slot holds it and a sum is zero iff
+    every entry is.  At S = V, the last sum, the sums must equal h_i(A) 1
+    packed from a list-based walk of 1, and the verdict must match the
+    rank of W(1).
     """
     v = g.v
     if v == 0:
         return 1, True  # the empty subset, with an empty, invertible W
-    walks = vertex_walks(g)
-    repeated = int_rank([[x for w in walks for x in w[k]] for k in range(v)]) < v
+    hs = [] if factors is None else [exact_div(graph_char_poly(g), f) for f in factors]
+    bits = max(
+        [((v - 1) ** (2 * v - 2)).bit_length()]
+        + [
+            (4 * v * sum(abs(c) * (v - 1) ** k for k, c in enumerate(h))).bit_length()
+            for h in hs
+        ]
+    )
+    mask = (1 << bits) - 1
+    powers = packed_powers(g, 2 * v - 1, bits)
+    traces = [sum(r >> bits * u & mask for u, r in enumerate(col)) for col in powers]
+    repeated = int_rank([traces[k : k + v] for k in range(v)]) < v
     if repeated != (factors is None):
         raise InternalConsistencyError(
             "minimal polynomial of degree below v disagrees with the squarefree test of phi"
         )
     if repeated:
         return 0, False
-    phi = graph_char_poly(g)
-    hs = [exact_div(phi, f) for f in factors]
 
-    def apply(h, walk):  # h(A) z from the walk columns z, Az, ...
+    # h(A) z from the walk columns z, Az, ...; on the powers, the packed
+    # columns h(A) e_u
+    def apply(h, walk):
         return [sum(c * col[j] for c, col in zip(h, walk)) for j in range(v)]
-
-    cols = [[apply(h, w) for w in walks] for h in hs]
-    bits = (4 * v * max(abs(x) for c in cols for col in c for x in col)).bit_length()
 
     def pack(col):
         return sum(x << bits * j for j, x in enumerate(col))
 
     sums = []  # sums[i][k]: packed h_i(A) z for the subset with bitmask k
-    for c in cols:
+    for h in hs:
         s = [0]
-        for col in map(pack, c):
+        for col in apply(h, powers):
             s += [x + col for x in s]
         sums.append(s)
     ones = krylov_columns(g.rows, [1] * v, v)
@@ -182,9 +215,10 @@ def controllable_subset_count(g: Graph, factors: Sequence[tuple] | None) -> tupl
 
 @lru_cache(maxsize=ADJUGATE_CACHE_SIZE)
 def graph_adjugate(g: Graph) -> tuple:
-    """(phi, (B_0, ..., B_{v-1})) of the adjacency matrix: the one kernel
-    pass per graph.  phi and the phi(X minus u) of the B_k diagonals are
-    read from it; a numerator phi_S is read from phi and the walk of z."""
+    """(phi, (D_0, ..., D_{v-1})) of the adjacency matrix, D_k the diagonal
+    of B_k in adj(tI - A) = sum_k B_k t^k: the one kernel pass per graph.
+    phi and the phi(X minus u) = sum_k D_k[u] t^k are read from it; a
+    numerator phi_S is read from phi and the walk of z."""
     return adjugate_samples(g.rows)
 
 
@@ -199,8 +233,8 @@ def vertex_deleted_char_polys(g: Graph) -> tuple[tuple, ...]:
     """phi(X minus u, t) for every u, read off the adjugate diagonal and
     checked against sum_u phi(X minus u) = phi' (the trace of adj(tI - A)
     is the derivative of det(tI - A))."""
-    phi, bs = graph_adjugate(g)
-    deleted = tuple(trim(bk[u][u] for bk in bs) for u in range(g.v))
+    phi, diagonals = graph_adjugate(g)
+    deleted = tuple(trim(d[u] for d in diagonals) for u in range(g.v))
     if tuple(map(sum, zip(*deleted))) != derivative(phi):  # each has degree v - 1
         raise InternalConsistencyError(
             "the phi(X minus u) on the adjugate diagonal do not sum to phi'"

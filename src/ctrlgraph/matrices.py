@@ -7,14 +7,17 @@ Fractions, which `clear_denominators` scales away row by row, and `solve`
 and `inverse` return Fractions.  Fraction-free Bareiss elimination is the
 one row reduction: it gives rank and determinant, and `solve` and
 `inverse` run it on the integer rows of (m | R) before an integer back
-substitution.  The characteristic polynomial and the adjugate of tI - A
-come together from one integer Faddeev-LeVerrier pass over the integer
-rows of A, as phi(t) and the coefficient matrices B_k of
-adj(tI - A) = sum B_k t^k; phi is a coefficient tuple, low degree first,
-in the polynomial format of `polys`.  The pass keeps no state, so its
-caller holds on to the result and passes it down.  A numerator
-y^T adj(tI - A) z needs no B_k: `bilinear_numerator_fractions` reads it
-from phi and the Krylov columns of z.
+substitution.  The characteristic polynomial and the diagonal of the
+adjugate of tI - A come together from one integer Faddeev-LeVerrier pass
+over the integer rows of A, as phi(t) and the diagonals of the
+coefficient matrices B_k of adj(tI - A) = sum B_k t^k; phi is a
+coefficient tuple, low degree first, in the polynomial format of `polys`.
+The pass holds each row of its matrices as one integer of fixed-width
+signed slots (Kronecker substitution), each width taken from a proven
+bound on the entries.  The pass keeps no state, so its caller holds on
+to the result and passes it down.  A numerator y^T adj(tI - A) z needs
+no B_k: `bilinear_numerator_fractions` reads it from phi and the Krylov
+columns of z.
 """
 
 from __future__ import annotations
@@ -158,46 +161,66 @@ def inverse(m: Sequence[Sequence]) -> tuple:
 
 
 def adjugate_samples(rows: Sequence[Sequence]) -> tuple:
-    """(phi, (B_0, ..., B_{n-1})) for a square integer matrix A given by its
-    rows, where phi = det(tI - A) is a coefficient tuple, low degree first,
-    and adj(tI - A) = sum_k B_k t^k, each B_k a tuple of integer rows.  A
-    rational A is scaled to integers by its caller (`clear_denominators`).
+    """(phi, (D_0, ..., D_{n-1})) for a square integer matrix A given by
+    its rows, where phi = det(tI - A) is a coefficient tuple, low degree
+    first, and D_k is the diagonal of B_k in adj(tI - A) = sum_k B_k t^k,
+    so that (adj(tI - A))_uu = sum_k D_k[u] t^k is det(tI - A) with row
+    and column u deleted.  A rational A is scaled to integers by its
+    caller (`clear_denominators`).
 
     One integer Faddeev-LeVerrier pass: M_1 = I; for j = 1..n:
     c_{n-j} = -tr(A M_j)/j, B_{n-j} = M_j and M_{j+1} = A M_j + c_{n-j} I.
     Each division by j is exact over the integers and M_{n+1} = 0
-    (Cayley-Hamilton); both are checked.  The name is kept because the
-    benchmark's tracer (perfbench/spans.py) looks it up by name.
+    (Cayley-Hamilton); both are checked.  Each row of M_j is one integer
+    (Kronecker substitution): entry k sits in slot k, a signed b-bit
+    field, so row i of A M_j is sum_k a_ik (row k of M_j), one big-int
+    product and sum per nonzero a_ik, and the diagonal of A M_j, which
+    gives the trace and the diagonal of M_{j+1}, is read slot by slot.
+
+    The slot width comes from a bound, never from the values.  With
+    a = max(1, max |a_ij|), a coefficient of phi is a signed sum of at
+    most C(n, k) <= 2^n principal minors of A, and an entry of B_k one of
+    at most C(n-1, k) <= 2^(n-1) minors of A of order m < n; by Hadamard
+    each minor is at most (sqrt(m) a)^m <= (n a)^n.  An entry of A M_j is
+    one of M_{j+1} - c_{n-j} I, so every slot ever stored holds less
+    than H = 2^(n+1) (n a)^n in absolute value, and b = bit length of
+    H, plus one for the sign, keeps it below 2^(b-1).  The name is kept
+    because the benchmark's tracer (perfbench/spans.py) looks it up by
+    name.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("adjugate of a non-square matrix")
     if not all(isinstance(x, int) for r in rows for x in r):
         raise ValueError("integer matrix required")
+    a = max((abs(x) for r in rows for x in r), default=1) or 1
+    b = ((n * a) ** n << n + 1).bit_length() + 1
+    half, mask = 1 << b - 1, (1 << b) - 1
+    shifts = [b * i for i in range(n)]
+    # round away the slots below slot i, so a negative lower part borrows nothing
+    rounding = [(1 << s) >> 1 for s in shifts]
     nonzero = [[(k, x) for k, x in enumerate(r) if x] for r in rows]
     coeffs = [0] * n + [1]
-    bs = [None] * n
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    diagonals = [None] * n
+    m = [1 << s for s in shifts]  # the rows of M_1 = I
+    diagonal = [1] * n
     for j in range(1, n + 1):
-        am = []
-        for nz in nonzero:
-            acc = [0] * n
-            for k, x in nz:
-                acc = [s + x * e for s, e in zip(acc, m[k])]
-            am.append(acc)
-        c, rem = divmod(-sum(am[i][i] for i in range(n)), j)
+        am = [sum(x * m[k] for k, x in nz) for nz in nonzero]
+        am_diagonal = [
+            ((r + h >> s) + half & mask) - half for r, s, h in zip(am, shifts, rounding)
+        ]
+        c, rem = divmod(-sum(am_diagonal), j)
         if rem:
             raise InternalConsistencyError(
                 f"Faddeev-LeVerrier trace not divisible by {j}"
             )
         coeffs[n - j] = c
-        bs[n - j] = tuple(tuple(r) for r in m)
-        for i in range(n):
-            am[i][i] += c
-        m = am
-    if any(any(r) for r in m):
+        diagonals[n - j] = tuple(diagonal)
+        m = [r + (c << s) for r, s in zip(am, shifts)]
+        diagonal = [x + c for x in am_diagonal]
+    if any(m):
         raise InternalConsistencyError("Cayley-Hamilton check failed: phi(A) != 0")
-    return tuple(coeffs), tuple(bs)
+    return tuple(coeffs), tuple(diagonals)
 
 
 def char_poly(rows: Sequence[Sequence]) -> tuple:

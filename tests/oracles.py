@@ -1,8 +1,10 @@
 """Independent brute-force oracles the fast implementations are checked
 against.  Deliberately naive: cofactor expansion, plain Fraction
-elimination, repeated matrix powers; plus the pole and root counts that
-only tests read, the former read of phi_S from the B_k of the adjugate
-pass, and the per-pair report that `full_reports` must match."""
+elimination, repeated matrix powers; the Faddeev-LeVerrier pass on lists
+of entries, which the packed pass `matrices.adjugate_samples` replaced;
+plus the pole and root counts that only tests read, the former read of
+phi_S from the B_k of the adjugate pass, and the per-pair report that
+`full_reports` must match."""
 
 from fractions import Fraction
 
@@ -18,7 +20,6 @@ from ctrlgraph.control import (
     walk_matrix_rank,
 )
 from ctrlgraph.graphs import covering_radius
-from ctrlgraph.matrices import adjugate_samples
 from ctrlgraph.polys import (
     derivative,
     exact_div,
@@ -104,6 +105,33 @@ def subset_count_by_rank(g):
     )
 
 
+def list_adjugate(rows):
+    """(phi, (B_0, ..., B_{n-1})) with adj(tI - A) = sum_k B_k t^k, by the
+    integer Faddeev-LeVerrier pass on lists of entries: M_1 = I;
+    c_{n-j} = -tr(A M_j)/j, B_{n-j} = M_j, M_{j+1} = A M_j + c_{n-j} I."""
+    n = len(rows)
+    coeffs = [0] * n + [1]
+    bs = [None] * n
+    nonzero = [[(k, x) for k, x in enumerate(r) if x] for r in rows]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for j in range(1, n + 1):
+        am = []
+        for nz in nonzero:
+            acc = [0] * n
+            for k, x in nz:
+                acc = [s + x * e for s, e in zip(acc, m[k])]
+            am.append(acc)
+        c, rem = divmod(-sum(am[i][i] for i in range(n)), j)
+        assert rem == 0, "trace not divisible"
+        coeffs[n - j] = c
+        bs[n - j] = tuple(map(tuple, m))
+        for i in range(n):
+            am[i][i] += c
+        m = am
+    assert not any(map(any, m)), "Cayley-Hamilton"
+    return tuple(coeffs), tuple(bs)
+
+
 def adjugate_numerator(bs, y, z):
     """Coefficients (low first, n many) of y^T adj(tI - A) z, read entry
     by entry from the B_k of adj(tI - A) = sum_k B_k t^k."""
@@ -122,7 +150,7 @@ def reference_report(p):
     own BFS."""
     v = p.graph.v
     rank = walk_matrix_rank(p)
-    phi, bs = adjugate_samples(p.graph.rows)
+    phi, bs = list_adjugate(p.graph.rows)
     phi_s = trim(adjugate_numerator(bs, p.vector, p.vector))
     verdicts = {"rank": rank == v, "poles": len(poly_gcd(phi_s, phi)) == 1}
     if p.subset is not None and len(p.subset) == 1:

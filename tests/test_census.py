@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import subprocess
@@ -133,6 +134,41 @@ def test_subsets_full_verdict_checked_against_full_report(monkeypatch):
     failure = r"line 1 \(Bg\): factor criterion disagrees with the full report"
     with pytest.raises(InternalConsistencyError, match=failure):
         run_census(["Bg"], CensusConfig(modes=("full", "subsets")))
+
+
+def _fewer_controllable_vertices(real):
+    return lambda g, factors: real(g, factors) - 1
+
+
+def _fewer_controllable_subsets(real):
+    def fewer(g, factors):
+        count, whole = real(g, factors)
+        return count - 1, whole
+
+    return fewer
+
+
+def _uncontrollable_full_report(real):
+    return lambda p: dataclasses.replace(real(p), controllable=False)
+
+
+@pytest.mark.parametrize(
+    "mode, name, broken",
+    [
+        ("full", "full_report", _uncontrollable_full_report),
+        ("vertices", "controllable_vertex_count", _fewer_controllable_vertices),
+        ("subsets", "controllable_subset_count", _fewer_controllable_subsets),
+    ],
+)
+def test_irreducible_phi_check_runs_in_every_mode(monkeypatch, mode, name, broken):
+    # ECqo has an irreducible phi of degree 6, so all 63 nonempty subsets
+    # are controllable; a count that breaks this fails in each mode alone
+    rows, _ = run_census(["ECqo"], CensusConfig(modes=(mode,)))
+    assert rows[0].irreducible_charpoly is (True if mode == "full" else None)
+    monkeypatch.setattr(control, name, broken(getattr(control, name)))
+    failure = r"line 1 \(ECqo\): irreducible characteristic polynomial but a pair"
+    with pytest.raises(InternalConsistencyError, match=failure):
+        run_census(["ECqo"], CensusConfig(modes=(mode,)))
 
 
 def test_default_line_factors_phi_once(monkeypatch):

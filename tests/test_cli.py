@@ -121,15 +121,16 @@ def test_analyze_singleton_numerator_check_names_graph(tmp_path, monkeypatch, ca
 
 
 def test_analyze_vertex_deleted_polys_must_sum_to_the_derivative(tmp_path, monkeypatch, capsys):
-    # a corrupted adjugate diagonal: phi(P3 minus 0) = t^2 - 1 read as t^2,
-    # so sum_u phi(X minus u) is no longer phi'
+    # a corrupted adjugate diagonal: (B_0)_00, the constant term of
+    # phi(P3 minus 0) = t^2 - 1, read as 0, so sum_u phi(X minus u) is no
+    # longer phi'
     real = cli.control.graph_adjugate.__wrapped__
 
     def corrupted(g):
-        phi, bs = real(g)
-        bs = [[list(row) for row in bk] for bk in bs]
-        bs[0][0][0] += 1
-        return phi, bs
+        phi, diagonals = real(g)
+        diagonals = [list(d) for d in diagonals]
+        diagonals[0][0] += 1
+        return phi, diagonals
 
     monkeypatch.setattr(cli.control, "graph_adjugate", corrupted)
     cli.control.vertex_deleted_char_polys.cache_clear()

@@ -21,6 +21,7 @@ from ctrlgraph.control import (
     numerator_coeffs,
     vertex_deleted_char_polys,
     is_vertex_controllable,
+    vertex_walks,
     walk_matrix,
     walk_matrix_rank,
 )
@@ -33,7 +34,7 @@ from ctrlgraph.graphs import (
     path,
     path_extension,
 )
-from ctrlgraph.matrices import int_det, inverse
+from ctrlgraph.matrices import int_det, int_rank, inverse, krylov_columns
 from ctrlgraph.polys import derivative, exact_div, interpolate_fractions, mul, poly_gcd, sub, trim
 
 from conftest import all_graphs_upto, all_subsets, census_graphs, count_calls
@@ -273,9 +274,11 @@ def test_full_reports_walk_once_per_singleton(monkeypatch):
     assert walks == [(1,) * 5]  # one Krylov pass and no per-vertex walk
     walks.clear()
     full_reports(g, [PairSpec.from_subset(g, s) for s in all_subsets(5)])
-    # the vertex walks before the loop, then the empty subset walked directly;
-    # every larger subset is summed from the vertex walks
-    assert walks == [tuple(int(i == u) for i in range(5)) for u in range(5)] + [(0,) * 5]
+    # one packed Krylov pass before the loop, on the packed identity with
+    # slots as wide as (v-1)^(v-1) = 4^4, then the empty subset walked
+    # directly; every larger subset is summed from the unpacked vertex walks
+    bits = (4**4).bit_length()
+    assert walks == [tuple(1 << bits * j for j in range(5)), (0,) * 5]
 
 
 def test_full_reports_check_rank_against_pole_count(monkeypatch):
@@ -460,6 +463,37 @@ def test_walk_rank_bounded_by_minimal_polynomial_degree():
         assert d == distinct_root_count(graph_char_poly(g)), g
         for s in all_subsets(g.v):
             assert walk_matrix_rank(PairSpec.from_subset(g, s)) <= d, (g, s)
+
+
+def test_gram_rank_matches_flattened_powers_rank(monkeypatch):
+    # the subset count's first rank is the Gram matrix [tr A^(k+l)] of the
+    # packed powers; it must be the Hankel matrix of the traces read from
+    # one list-based walk per vertex, and have the Bareiss rank of the
+    # flattened powers I, A, ..., A^(v-1) that it replaced
+    ranked = []
+    count_calls(monkeypatch, control, "int_rank", ranked)
+    graphs = [*all_graphs_upto(7), *graphs_beyond_data()]
+    for g in graphs:
+        v = g.v
+        ranked.clear()
+        controllable_subset_count(g, char_poly_factors(g))
+        gram = ranked[0][0]
+        walks = [krylov_columns(g.rows, [int(i == u) for i in range(v)], 2 * v - 1) for u in range(v)]
+        traces = [sum(walks[u][m][u] for u in range(v)) for m in range(2 * v - 1)]
+        assert gram == [traces[k : k + v] for k in range(v)], g
+        flat = [[x for w in walks for x in w[k]] for k in range(v)]
+        assert int_rank(gram) == int_rank(flat), g
+
+
+def test_vertex_walks_unpack_the_powers_of_complete_graphs():
+    # K_v has the most walks of any graph on v vertices, nearest the slot
+    # bound (v-1)^k
+    for v in range(13):
+        g = complete(v)
+        direct = [krylov_columns(g.rows, [int(i == u) for i in range(v)], v) for u in range(v)]
+        assert vertex_walks(g) == direct, v
+        # the Gram route: only K_0, K_1 and K_2 have simple eigenvalues
+        assert subset_count(g) == {0: 1, 1: 1, 2: 2}.get(v, 0), v
 
 
 def test_repeated_eigenvalue_means_no_controllable_subset():

@@ -22,6 +22,7 @@ from ctrlgraph.matrices import (
     solve,
     transpose,
 )
+from ctrlgraph.graphs import complete
 from ctrlgraph.polys import mul
 
 from conftest import all_graphs_upto, all_subsets
@@ -31,6 +32,7 @@ from oracles import (
     cofactor_adjugate,
     cofactor_det,
     evaluate,
+    list_adjugate,
     mat_power_vec,
     naive_rank,
 )
@@ -99,12 +101,27 @@ def test_char_poly_matches_cofactor_oracle(rows, c):
     assert evaluate(p, c) == charpoly_at(sym, c)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 5).flatmap(lambda n: int_matrix(n, -4, 4)))
-def test_adjugate_pass_matches_cofactor_oracle(rows):
-    # non-symmetric on purpose: the pass must not rely on A = A^T
+def _packed_pass_agrees(rows):
+    """The packed pass gives the list pass's phi and the diagonals of its
+    B_k, and every slot value it stores stays below its docstring's bound
+    2^(n+1) (n a)^n: the entries of each M_j = B_{n-j}, and those of
+    A M_j = M_{j+1} - c_{n-j} I, whose diagonal is B_{k-1}[i][i] - c_k
+    for k = n - j >= 1 and -c_0 for j = n."""
     n = len(rows)
-    phi, bs = adjugate_samples(rows)
+    phi, bs = list_adjugate(rows)
+    assert adjugate_samples(rows) == (
+        phi,
+        tuple(tuple(bk[i][i] for i in range(n)) for bk in bs),
+    )
+    a = max((abs(x) for r in rows for x in r), default=1) or 1
+    stored = [x for bk in bs for r in bk for x in r] + [phi[0]]
+    stored += [bs[k - 1][i][i] - phi[k] for k in range(1, n) for i in range(n)]
+    assert max(map(abs, stored), default=0) < 2 ** (n + 1) * (n * a) ** n
+
+
+def _list_pass_matches_cofactors(rows):
+    n = len(rows)
+    phi, bs = list_adjugate(rows)
     assert len(phi) == n + 1 and phi[-1] == 1
     assert len(bs) == n
     for c in (-3, -1, 0, 2, 5):
@@ -117,6 +134,29 @@ def test_adjugate_pass_matches_cofactor_oracle(rows):
             for i in range(n)
         ]
         assert summed == cofactor_adjugate(shifted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: int_matrix(n, -4, 4)))
+def test_adjugate_pass_matches_cofactor_oracle(rows):
+    # non-symmetric on purpose: the pass must not rely on A = A^T
+    _list_pass_matches_cofactors(rows)
+    _packed_pass_agrees(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: int_matrix(n, -(10**6), 10**6)))
+def test_packed_adjugate_pass_at_large_entries(rows):
+    # signed, non-symmetric entries up to 10^6 put the slot width under
+    # stress: `lti` and `laplacian` pass rows that are not 0/1
+    _list_pass_matches_cofactors(rows)
+    _packed_pass_agrees(rows)
+
+
+def test_packed_adjugate_pass_on_complete_graphs():
+    # K_v has the most walks of any graph on v vertices
+    for v in range(13):
+        _packed_pass_agrees(complete(v).rows)
 
 
 def test_char_poly_block_diagonal_multiplies():
@@ -202,7 +242,7 @@ def _numerator_oracles_agree(rows, pairs):
     of z equals the B_k read, and at n points y^T adj(cI - A) z by
     cofactor expansion, which fixes a polynomial of degree below n."""
     n = len(rows)
-    phi, bs = adjugate_samples(rows)
+    phi, bs = list_adjugate(rows)
     shifted = {
         c: [[c * (i == j) - rows[i][j] for j in range(n)] for i in range(n)]
         for c in range(-1, n - 1)
