@@ -12,9 +12,9 @@ rationals: with phi squarefree and h_i = phi / f_i, the pair is
 controllable iff h_i(A) z != 0 for every i (`controllable_subset_count`),
 and a vertex u is iff no f_i divides phi(X minus u).
 
-Both subset engines read the powers of A from `packed_powers`, one
-`krylov_columns` call on the packed identity, in which each row of A^k is
-one integer.
+Both subset engines read the powers of A and their one slot width from
+`packed_powers`, one `krylov_columns` call on the packed identity, in
+which each row of A^k is one integer.
 
 `full_reports` builds the reports of many pairs of one graph in one pass:
 each subset's walk matrix summed from its members' walks W(e_u)
@@ -84,13 +84,21 @@ class ControllabilityReport:
     v: int
     subset: tuple[int, ...] | None
     rank_of_w: int
-    support_size: int
-    dual_degree: int
     covering_radius: object  # int, or math.inf for empty/unreachable subsets
-    controllable: bool
     verdicts: dict = field(compare=False)
-    covrad_bound_ok: bool | None = None
     degenerate: bool = False
+
+    support_size = property(lambda self: self.rank_of_w)
+    dual_degree = property(lambda self: self.rank_of_w - 1)
+    controllable = property(lambda self: self.rank_of_w == self.v)
+
+    @property
+    def covrad_bound_ok(self) -> bool | None:
+        """radius <= rank W - 1; None for no subset, the empty one or an
+        unreachable vertex."""
+        if not self.subset or self.covering_radius == float("inf"):
+            return None
+        return self.covering_radius <= self.rank_of_w - 1
 
 
 def walk_columns(p: PairSpec) -> list[list]:
@@ -111,28 +119,41 @@ def is_controllable_rank(p: PairSpec) -> bool:
     return walk_matrix_rank(p) == p.graph.v
 
 
-def packed_powers(g: Graph, count: int, bits: int) -> list[list[int]]:
-    """The powers I, A, ..., A^{count-1} with each row packed into one
-    integer: entry [k][u] is sum_j (A^k)_uj 2^(bits j), row u of A^k, which
-    is also A^k e_u (A is symmetric).  One `krylov_columns` call on the
-    packed identity z_j = 2^(bits j): the kernel is linear, so entry u of
-    A^k z is sum_j (A^k)_uj z_j.  A slot of an entry with 0 <= x < 2^bits
-    reads back as a shift and a mask; (A^k)_uw counts the walks of length k
-    from u to w, at most (v-1)^k of them."""
-    return krylov_columns(g.rows, [1 << bits * j for j in range(g.v)], count)
+def packed_powers(g: Graph, count: int) -> tuple[list[list[int]], int]:
+    """(powers, bits): the powers I, A, ..., A^{count-1} with each row
+    packed into one integer, entry [k][u] being sum_j (A^k)_uj 2^(bits j),
+    row u of A^k, which is also A^k e_u (A is symmetric).  One
+    `krylov_columns` call on the packed identity z_j = 2^(bits j): the
+    kernel is linear, so entry u of A^k z is sum_j (A^k)_uj z_j.
+
+    The width depends on the graph and count alone.  Let r = max(1, largest
+    degree), the largest absolute row sum of A.  (A^k)_uw counts the walks
+    of length k from u to w, at most r^k.  Every eigenvalue has
+    |theta| <= r, so a monic h of degree below v whose roots are
+    eigenvalues has |h(theta)| <= (2r)^(v-1), and as h(A) is symmetric with
+    eigenvalues h(theta), every entry of h(A) z, z a 0/1 vector, is at most
+    |h(A) z|_2 <= sqrt(v) (2r)^(v-1).  bits is a sign bit plus the bit
+    length of max(r^(count-1), v (2r)^(v-1)), so each such entry x has
+    |x| < 2^(bits-1): an entry of a power reads back as a shift and a mask,
+    and packed vectors h(A) z, as signed slots, are zero, or equal, iff
+    they are so slot by slot."""
+    v = g.v
+    r = max([1, *map(sum, g.rows)])
+    bound = max(r ** max(count - 1, 0), v * (2 * r) ** max(v - 1, 0))
+    bits = bound.bit_length() + 1
+    return krylov_columns(g.rows, [1 << bits * j for j in range(v)], count), bits
 
 
 def vertex_walks(g: Graph) -> list[list[list]]:
     """W(e_u) for every vertex u, as its columns e_u, A e_u, ..., unpacked
     from `packed_powers`: A^k e_u is row u of A^k, whose entries, walk
-    counts at most (v-1)^k <= (v-1)^(v-1), fit slots as wide as the bit
-    length of (v-1)^(v-1).  W(z) is linear in z, so a subset's walk is the
-    sum of its members' walks."""
+    counts, are nonnegative, so each reads back as a shift and a mask.
+    W(z) is linear in z, so a subset's walk is the sum of its members'
+    walks."""
     v = g.v
-    bits = ((v - 1) ** (v - 1)).bit_length() if v else 1
+    powers, bits = packed_powers(g, v)
     mask = (1 << bits) - 1
     shifts = [bits * j for j in range(v)]
-    powers = packed_powers(g, v, bits)
     return [[[r >> s & mask for s in shifts] for r in row] for row in zip(*powers)]
 
 
@@ -156,27 +177,17 @@ def controllable_subset_count(g: Graph, factors: Sequence[tuple] | None) -> tupl
     so far plus its packed column h_i(A) e_u = sum_k h_i[k] A^k e_u, which
     is the same sum over the packed rows u of the powers.
 
-    The slots are bits wide for bits the larger of two bit lengths: that of
-    (v-1)^(2v-2), above every entry of the powers, and that of
-    4v sum_k |h_i[k]| (v-1)^k, above twice every entry of a sum of at most
-    v columns h_i(A) e_u, so a signed slot holds it and a sum is zero iff
-    every entry is.  At S = V, the last sum, the sums must equal h_i(A) 1
-    packed from a list-based walk of 1, and the verdict must match the
-    rank of W(1).
+    Each h_i is a monic divisor of phi of degree below v, so by
+    `packed_powers`' width every entry of a sum, an entry of h_i(A) z for a
+    0/1 z, fits a signed slot, and a sum is zero iff every entry is.  At
+    S = V, the last sum, the sums must equal h_i(A) 1 packed from a
+    list-based walk of 1, and the verdict must match the rank of W(1).
     """
     v = g.v
     if v == 0:
         return 1, True  # the empty subset, with an empty, invertible W
-    hs = [] if factors is None else [exact_div(graph_char_poly(g), f) for f in factors]
-    bits = max(
-        [((v - 1) ** (2 * v - 2)).bit_length()]
-        + [
-            (4 * v * sum(abs(c) * (v - 1) ** k for k, c in enumerate(h))).bit_length()
-            for h in hs
-        ]
-    )
+    powers, bits = packed_powers(g, 2 * v - 1)
     mask = (1 << bits) - 1
-    powers = packed_powers(g, 2 * v - 1, bits)
     traces = [sum(r >> bits * u & mask for u, r in enumerate(col)) for col in powers]
     repeated = int_rank([traces[k : k + v] for k in range(v)]) < v
     if repeated != (factors is None):
@@ -185,6 +196,7 @@ def controllable_subset_count(g: Graph, factors: Sequence[tuple] | None) -> tupl
         )
     if repeated:
         return 0, False
+    hs = [exact_div(graph_char_poly(g), f) for f in factors]
 
     # h(A) z from the walk columns z, Az, ...; on the powers, the packed
     # columns h(A) e_u
@@ -393,22 +405,8 @@ def full_reports(g: Graph, pairs: Sequence[PairSpec]) -> list[ControllabilityRep
                 f"rank of W(z) is {rank} but gcd(phi_S, phi) has degree {common}"
                 f" for {_pair_name(p)}, leaving {v - common} poles"
             )
-        covrad_ok = None
-        if s and radius != float("inf"):
-            covrad_ok = radius <= rank - 1
         reports.append(
-            ControllabilityReport(
-                v=v,
-                subset=s,
-                rank_of_w=rank,
-                support_size=rank,
-                dual_degree=rank - 1,
-                covering_radius=radius,
-                controllable=rank == v,
-                verdicts=verdicts,
-                covrad_bound_ok=covrad_ok,
-                degenerate=not any(p.vector),
-            )
+            ControllabilityReport(v, s, rank, radius, verdicts, degenerate=not any(p.vector))
         )
     return reports
 

@@ -6,6 +6,7 @@ plus the pole and root counts that only tests read, the former read of
 phi_S from the B_k of the adjugate pass, and the per-pair report that
 `full_reports` must match."""
 
+import operator
 from fractions import Fraction
 
 from ctrlgraph.census import all_subsets
@@ -138,39 +139,33 @@ def adjugate_numerator(bs, y, z):
     n = len(bs)
     if len(y) != n or len(z) != n:
         raise ValueError("shape mismatch")
-    return tuple(
-        sum(y[i] * bk[i][j] * z[j] for i in range(n) for j in range(n)) for bk in bs
-    )
+
+    def dot(a, b):
+        return sum(map(operator.mul, a, b))
+
+    return tuple(dot(y, [dot(row, z) for row in bk]) for bk in bs)
 
 
-def reference_report(p):
+def reference_report(p, adjugate):
     """The report of one pair with every quantity computed on its own: a
-    fresh walk matrix, phi_S read from the B_k of a fresh adjugate pass and
+    fresh walk matrix, phi_S read from the B_k of `adjugate`, which is
+    `list_adjugate(p.graph.rows)` computed once per graph by the caller,
     gcd(phi_S, phi) by the primitive PRS, and the covering radius by its
     own BFS."""
     v = p.graph.v
     rank = walk_matrix_rank(p)
-    phi, bs = list_adjugate(p.graph.rows)
+    phi, bs = adjugate
     phi_s = trim(adjugate_numerator(bs, p.vector, p.vector))
     verdicts = {"rank": rank == v, "poles": len(poly_gcd(phi_s, phi)) == 1}
     if p.subset is not None and len(p.subset) == 1:
         verdicts["coprime"] = is_vertex_controllable(p.graph, p.subset[0])
-    radius = None
-    covrad_ok = None
-    if p.subset is not None:
-        radius = covering_radius(p.graph, p.subset)
-        if p.subset and radius != float("inf"):
-            covrad_ok = radius <= rank - 1
+    radius = None if p.subset is None else covering_radius(p.graph, p.subset)
     return ControllabilityReport(
         v=v,
         subset=p.subset,
         rank_of_w=rank,
-        support_size=rank,
-        dual_degree=rank - 1,
         covering_radius=radius,
-        controllable=rank == v,
         verdicts=verdicts,
-        covrad_bound_ok=covrad_ok,
         degenerate=all(x == 0 for x in p.vector),
     )
 

@@ -149,7 +149,8 @@ def _fewer_controllable_subsets(real):
 
 
 def _uncontrollable_full_report(real):
-    return lambda p: dataclasses.replace(real(p), controllable=False)
+    # controllable is read from the rank: one short of v makes it False
+    return lambda p: dataclasses.replace(real(p), rank_of_w=p.graph.v - 1)
 
 
 @pytest.mark.parametrize(

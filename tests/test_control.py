@@ -21,6 +21,7 @@ from ctrlgraph.control import (
     numerator_coeffs,
     vertex_deleted_char_polys,
     is_vertex_controllable,
+    packed_powers,
     vertex_walks,
     walk_matrix,
     walk_matrix_rank,
@@ -41,6 +42,7 @@ from conftest import all_graphs_upto, all_subsets, census_graphs, count_calls
 from oracles import (
     distinct_pole_count,
     distinct_root_count,
+    list_adjugate,
     naive_power_rank,
     pair_rational_function,
     reference_report,
@@ -205,7 +207,8 @@ def with_verdicts(reports):
 def check_against_reference(g):
     # every subset: summed from the vertex walks, and one pair at a time
     pairs = [PairSpec.from_subset(g, s) for s in all_subsets(g.v)]
-    want = with_verdicts(map(reference_report, pairs))
+    adjugate = list_adjugate(g.rows)
+    want = with_verdicts(reference_report(p, adjugate) for p in pairs)
     assert with_verdicts(full_reports(g, pairs)) == want, g
     assert with_verdicts(full_report(p) for p in pairs) == want, g
 
@@ -253,7 +256,8 @@ def test_full_reports_on_integer_vectors():
         for _ in range(4):
             pairs.append(PairSpec.from_vector(g, [rng.randint(-3, 3) for _ in range(g.v)]))
         rng.shuffle(pairs)  # vectors and subsets mixed, singletons anywhere
-        want = with_verdicts(map(reference_report, pairs))
+        adjugate = list_adjugate(g.rows)
+        want = with_verdicts(reference_report(p, adjugate) for p in pairs)
         assert with_verdicts(full_reports(g, pairs)) == want, g
         # and one pair at a time
         alone = [full_report(p) for p in pairs]
@@ -275,9 +279,10 @@ def test_full_reports_walk_once_per_singleton(monkeypatch):
     walks.clear()
     full_reports(g, [PairSpec.from_subset(g, s) for s in all_subsets(5)])
     # one packed Krylov pass before the loop, on the packed identity with
-    # slots as wide as (v-1)^(v-1) = 4^4, then the empty subset walked
-    # directly; every larger subset is summed from the unpacked vertex walks
-    bits = (4**4).bit_length()
+    # slots a sign bit wider than v (2r)^(v-1) = 5 * 4^4 for the largest
+    # degree r = 2, then the empty subset walked directly; every larger
+    # subset is summed from the unpacked vertex walks
+    bits = 12
     assert walks == [tuple(1 << bits * j for j in range(5)), (0,) * 5]
 
 
@@ -486,14 +491,81 @@ def test_gram_rank_matches_flattened_powers_rank(monkeypatch):
 
 
 def test_vertex_walks_unpack_the_powers_of_complete_graphs():
-    # K_v has the most walks of any graph on v vertices, nearest the slot
-    # bound (v-1)^k
+    # K_v has the most walks of any graph on v vertices, r^k for r = v - 1
     for v in range(13):
         g = complete(v)
         direct = [krylov_columns(g.rows, [int(i == u) for i in range(v)], v) for u in range(v)]
         assert vertex_walks(g) == direct, v
         # the Gram route: only K_0, K_1 and K_2 have simple eigenvalues
         assert subset_count(g) == {0: 1, 1: 1, 2: 2}.get(v, 0), v
+
+
+def signed_slots(x, bits, v):
+    """The v signed slots of a packed integer, slot 0 first."""
+    out = []
+    for _ in range(v):
+        slot = x & (1 << bits) - 1
+        slot -= slot >> bits - 1 << bits
+        out.append(slot)
+        x = x - slot >> bits
+    assert x == 0
+    return out
+
+
+def width_cases():
+    yield from all_graphs_upto(7)
+    yield from graphs_beyond_data()
+    for v in range(13):
+        yield complete(v)  # K_0 included
+        yield empty(v)
+
+
+def test_packed_slots_hold_every_entry_the_engines_read():
+    # every slot that `vertex_walks` reads and `controllable_subset_count`
+    # reads or zero-tests holds less than 2^(bits-1) in absolute value and
+    # unpacks, as a signed slot, to the entry walked on lists: the entries
+    # of A^k for k < count, each packed h_i(A) e_u and every subset sum
+    for g in width_cases():
+        v = g.v
+        walks = [krylov_columns(g.rows, [int(i == u) for i in range(v)], 2 * v - 1) for u in range(v)]
+        for count in sorted({0, v, max(2 * v - 1, 0)}):
+            powers, bits = packed_powers(g, count)
+            assert len(powers) == count, (g, count)
+            for k, row in enumerate(powers):
+                for u, x in enumerate(row):
+                    entries = signed_slots(x, bits, v)
+                    assert entries == walks[u][k], (g, count)
+                    assert max(entries, default=0) < 1 << bits - 1, (g, count)
+        factors = char_poly_factors(g)
+        if factors is None or v == 0:
+            continue  # the engine builds no sum
+        powers, bits = packed_powers(g, 2 * v - 1)
+        for h in (exact_div(graph_char_poly(g), f) for f in factors):
+            lists, packed = [[0] * v], [0]
+            for u in range(v):
+                col = [sum(c * w[j] for c, w in zip(h, walks[u])) for j in range(v)]
+                lists += [[a + b for a, b in zip(x, col)] for x in lists]
+                col = sum(c * r[u] for c, r in zip(h, powers))
+                packed += [x + col for x in packed]
+            for x, entries in zip(packed, lists):
+                assert signed_slots(x, bits, v) == entries, g
+                assert max(map(abs, entries)) < 1 << bits - 1, g
+
+
+def test_slot_width_depends_on_the_graph_alone():
+    # v and the largest degree fix the width: not phi, its factors or the
+    # walk counts themselves
+    widths = {}
+    for g in [*all_graphs_upto(7), *graphs_beyond_data()]:
+        key = (g.v, max(map(sum, g.rows)))
+        for count in (g.v, 2 * g.v - 1):
+            widths.setdefault((key, count), set()).add(packed_powers(g, count)[1])
+    assert all(len(found) == 1 for found in widths.values())
+    # sign bit plus the bit length of max(r^(count-1), v (2r)^(v-1))
+    assert packed_powers(path(5), 5)[1] == (5 * 4**4).bit_length() + 1 == 12
+    assert packed_powers(complete(9), 17)[1] == (8**16).bit_length() + 1
+    assert packed_powers(empty(3), 5)[1] == (3 * 2**2).bit_length() + 1
+    assert packed_powers(Graph.from_edges(0, ()), 0) == ([], 2)
 
 
 def test_repeated_eigenvalue_means_no_controllable_subset():

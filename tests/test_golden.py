@@ -45,6 +45,69 @@ CENSUS = {
     ),
 }
 
+# census --mode full and --mode vertices, one column group each
+FULL = {
+    1: (
+        "df9ae24c0633998ed4a33dde0269c6fe17290d6f7e3b1cde0e9216187b6525b4",
+        "769e400bfd994832c3fbb22a76578afba5991e13d39787125d3124e0c3cb6631",
+    ),
+    2: (
+        "cfd34961487849c61e85ff0636fe94c0307a73717260b0d8ee5d186b476266ca",
+        "05b5601bac51aa09b90e61e0ea718a7079e14a5ec64e94dc30b14ff9f4fb487c",
+    ),
+    3: (
+        "d88ca9f9df00b07508d34f2d71ff75052e7c270933f810a9670df8c589f35258",
+        "28763eed10f9c0839127b626382b3d1194a4bcd8a30b6f8fd20b98464949efbd",
+    ),
+    4: (
+        "8b3d6e9bdc590030484064d67510bf74129b8322d350952227a5ef93f4cd2cf7",
+        "2a91a6c857a2f0494d0be5424fe58e5ef1425c5baa2ab4326814f65974b9b568",
+    ),
+    5: (
+        "7b8eb82d69577608d8c2d58c01912799d8f7938938a8751a02371919c09d4abb",
+        "6a1862c947b35945748302cc892ae56f44a5e4c841c71a96294adce213716aed",
+    ),
+    6: (
+        "b604994359c3ee90a714b4d9e274968ec8529d02c06a6be5bd7a1b6114680a63",
+        "fb5382bc8dadc5da5ea36496799f0f413fbd226c2029640682c4683e1e2da21f",
+    ),
+    7: (
+        "5ff201abea14c3b66024ecf2082de6c7e792c8eccc4aa0c10866e5d5aea621fa",
+        "71189b6b54b28cf531991c56abc89e4beb5adb58c2c4c586916570af03148fec",
+    ),
+}
+
+VERTICES = {
+    1: (
+        "e6451fdc1065673a964cf51185ff2ebfa02613a25743b4295b63ce51df16b94c",
+        "45e267d8d878c5062168afe84a8748271fe935a5586cf264fa872e3b2670c505",
+    ),
+    2: (
+        "e92e44b6b537c7e6e17f1789e6a5673ef75f552acf44c673cdf13bfcf88b3868",
+        "95cc566da311f03b5a392d8fbbaac986cc916da157cd8e7f37ae8db99cc2eb56",
+    ),
+    3: (
+        "58a7688e0ad48d1c6706ebecc96bdf0980816c75edf3135e6ff6a78397fdcc05",
+        "cfa30cc5234947af365383f8deb97daf55273d7b3cf82e61442e460ca1fe171f",
+    ),
+    4: (
+        "817e4c8ea1878942779dc5182017ec20e5372e33ce345bb6adc1b7a4cbd1bd30",
+        "f9d795561ca346440b4683211d46b7064fc935fa2e31fb7525474649af9b2331",
+    ),
+    5: (
+        "a3b34269277dfb807178bff8c8c8d3f5f34099e4229cf014d7e730d2d696e399",
+        "ddbdf30d8673b2cd07aca5966de423f9d4ad381dbe3adb78385fde6c62db0ae7",
+    ),
+    6: (
+        "1c16335966b12ec1c8884151c5c2ceee0ba1c101d20e8ff604140bd9ff02f118",
+        "19d25ec0b2c01d44771fa2ed42149b3e5a729463724da65327b2faade2c2ace8",
+    ),
+    7: (
+        "b775dea6e39385f5ed96ea93e2e0a6dde6dfd3607366c3de8e38fdbd59ed2ccf",
+        "d7dae2add7f60c683d2228fc5f9ee8b607864c0e3bd2a133d818944c931c628d",
+    ),
+}
+
 ANALYZE = {
     "DhC": "d786f8c4127ae192b418ded11b49c8ace302c10e021c0af9ab3dd0490efa38c1",
     "EQjo": "556d7fb59108337fd3a1fc5d6b618caefd4fdaa4d6759f6883c20d0bfdcf689e",
@@ -107,6 +170,13 @@ def command_digest(tmp_path, argv) -> str:
 @pytest.mark.parametrize("n", range(1, 8))
 def test_census_bytes(tmp_path, n):
     assert census_digests(tmp_path, DATA_DIR / f"graphs{n}.g6") == CENSUS[n]
+
+
+@pytest.mark.parametrize("mode,pins", [("full", FULL), ("vertices", VERTICES)])
+def test_census_mode_bytes(tmp_path, mode, pins):
+    for n, want in pins.items():
+        source = DATA_DIR / f"graphs{n}.g6"
+        assert census_digests(tmp_path, source, "--mode", mode) == want, n
 
 
 def test_census_bytes_at_two_workers(tmp_path):
