@@ -176,24 +176,28 @@ def cmd_isocheck(args) -> int:
     s2 = _one_subset(args.subset_b, g2.v)
     p1 = control.PairSpec.from_subset(g1, s1)
     p2 = control.PairSpec.from_subset(g2, s2)
-    route_ratfun = pairiso.pairs_isomorphic(p1, p2)
-    route_cone = control.graph_char_poly(g1) == control.graph_char_poly(
-        g2
-    ) and control.graph_char_poly(cone(g1, s1)) == control.graph_char_poly(
-        cone(g2, s2)
-    )
-    if route_ratfun != route_cone:
+    phi = control.graph_char_poly
+    try:
+        route_ratfun = pairiso.pairs_isomorphic(p1, p2)
+        route_cone = phi(g1) == phi(g2) and phi(cone(g1, s1)) == phi(cone(g2, s2))
+        if route_ratfun != route_cone:
+            raise InternalConsistencyError(
+                "rational-function and cone-cospectrality routes disagree"
+            )
+        # each full report checks its rank verdict against its pole count
+        both_ctrl = all([control.full_report(p).controllable for p in (p1, p2)])
+        q = pairiso.q_matrix(p1, p2) if route_ratfun and both_ctrl else None
+    except InternalConsistencyError as exc:
         raise InternalConsistencyError(
-            "rational-function and cone-cospectrality routes disagree"
-        )
+            f"graphs {args.graph6_a.strip()} subset {list(s1)} and"
+            f" {args.graph6_b.strip()} subset {list(s2)}: {exc}"
+        ) from exc
     doc = {
         "isomorphic": route_ratfun,
         "routes": {"rational_function": route_ratfun, "cone_cospectral": route_cone},
+        "both_controllable": both_ctrl,
     }
-    both_ctrl = control.is_controllable_rank(p1) and control.is_controllable_rank(p2)
-    doc["both_controllable"] = both_ctrl
-    if route_ratfun and both_ctrl:
-        q = pairiso.q_matrix(p1, p2)
+    if q is not None:
         doc["q"] = _matrix_json(q)
     _write_output(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -248,7 +252,10 @@ def cmd_lti(args) -> int:
         "controllable": lti_mod.is_controllable(sys_.a, sys_.b),
         "observable": lti_mod.is_observable(sys_.a, sys_.c),
     }
-    num, den = lti_mod.transfer_function(sys_)
+    try:  # the integer Faddeev-LeVerrier pass checks its divisions and phi(A) = 0
+        num, den = lti_mod.transfer_function(sys_)
+    except InternalConsistencyError as exc:
+        raise InternalConsistencyError(f"system spec {args.spec}: {exc}") from exc
     doc["transfer_function"] = {
         "numerator": [str(x) for x in num],
         "denominator": [str(x) for x in den],

@@ -14,12 +14,12 @@ and a vertex u is iff no f_i divides phi(X minus u).
 
 Both subset engines read the powers of A and their one slot width from
 `packed_powers`, one `krylov_columns` call on the packed identity, in
-which each row of A^k is one integer.
+which each row of A^k is one integer, read in place where it is summed.
 
 `full_reports` builds the reports of many pairs of one graph in one pass:
-each subset's walk matrix summed from its members' walks W(e_u)
-(`vertex_walks`), phi_S read from phi and those walk columns, and every
-report checked for rank W(z) = v - deg gcd(phi_S, phi).  That degree is
+each subset's walk matrix summed from its members' walks W(e_u), read
+from the packed powers, phi_S read from phi and those walk columns, and
+every report checked for rank W(z) = v - deg gcd(phi_S, phi).  That degree is
 deg d, for d = gcd(phi, phi'), plus deg f_i for each irreducible factor f_i
 of A's minimal polynomial phi / d with d f_i dividing phi_S; d and the f_i
 are found once per call (`irreducible.factors`).  `full_report` is its
@@ -144,19 +144,6 @@ def packed_powers(g: Graph, count: int) -> tuple[list[list[int]], int]:
     return krylov_columns(g.rows, [1 << bits * j for j in range(v)], count), bits
 
 
-def vertex_walks(g: Graph) -> list[list[list]]:
-    """W(e_u) for every vertex u, as its columns e_u, A e_u, ..., unpacked
-    from `packed_powers`: A^k e_u is row u of A^k, whose entries, walk
-    counts, are nonnegative, so each reads back as a shift and a mask.
-    W(z) is linear in z, so a subset's walk is the sum of its members'
-    walks."""
-    v = g.v
-    powers, bits = packed_powers(g, v)
-    mask = (1 << bits) - 1
-    shifts = [bits * j for j in range(v)]
-    return [[[r >> s & mask for s in shifts] for r in row] for row in zip(*powers)]
-
-
 def controllable_subset_count(g: Graph, factors: Sequence[tuple] | None) -> tuple[int, bool]:
     """Number of subsets S, the empty one included, with (X, S) controllable,
     and whether S = V is; `factors` is `char_poly_factors(g)`.
@@ -180,8 +167,9 @@ def controllable_subset_count(g: Graph, factors: Sequence[tuple] | None) -> tupl
     Each h_i is a monic divisor of phi of degree below v, so by
     `packed_powers`' width every entry of a sum, an entry of h_i(A) z for a
     0/1 z, fits a signed slot, and a sum is zero iff every entry is.  At
-    S = V, the last sum, the sums must equal h_i(A) 1 packed from a
-    list-based walk of 1, and the verdict must match the rank of W(1).
+    S = V, the last sum, the sums read as signed slots must equal h_i(A) 1
+    from a list-based walk of 1, slot by slot, which an overflow fails, and
+    the verdict must match the rank of W(1).
     """
     v = g.v
     if v == 0:
@@ -203,9 +191,6 @@ def controllable_subset_count(g: Graph, factors: Sequence[tuple] | None) -> tupl
     def apply(h, walk):
         return [sum(c * col[j] for c, col in zip(h, walk)) for j in range(v)]
 
-    def pack(col):
-        return sum(x << bits * j for j, x in enumerate(col))
-
     sums = []  # sums[i][k]: packed h_i(A) z for the subset with bitmask k
     for h in hs:
         s = [0]
@@ -213,7 +198,10 @@ def controllable_subset_count(g: Graph, factors: Sequence[tuple] | None) -> tupl
             s += [x + col for x in s]
         sums.append(s)
     ones = krylov_columns(g.rows, [1] * v, v)
-    if [s[-1] for s in sums] != [pack(apply(h, ones)) for h in hs]:
+    # the last sums as signed slots, rounded so a negative lower part borrows nothing
+    half, shifts = 1 << bits - 1, range(0, bits * v, bits)
+    got = [[((s[-1] + (1 << t >> 1) >> t) + half & mask) - half for t in shifts] for s in sums]
+    if got != [apply(h, ones) for h in hs]:
         raise InternalConsistencyError(
             "summed vertex walk columns h_i(A) e_u differ from h_i(A) 1"
         )
@@ -350,7 +338,8 @@ def full_reports(g: Graph, pairs: Sequence[PairSpec]) -> list[ControllabilityRep
     second computation of one polynomial.
 
     W(z) is linear in z, so with more than one pair, every nonempty subset
-    takes W as the sum of its members' walks from `vertex_walks`, and its
+    takes W as the sum of its members' walks W(e_u), read from the packed
+    rows u of the powers (walk counts: a shift and a mask each), and its
     covering radius from their BFS distance rows; any other pair, and a
     lone pair, is walked directly.  Nothing is kept per subset: memory is
     O(v^3).
@@ -362,7 +351,9 @@ def full_reports(g: Graph, pairs: Sequence[PairSpec]) -> list[ControllabilityRep
     deleted = vertex_deleted_char_polys(g)
     table = len(pairs) > 1
     if table:  # W(e_u) flattened and the BFS distance row of u, per vertex u
-        walks = [[x for c in w for x in c] for w in vertex_walks(g)]
+        powers, bits = packed_powers(g, v)
+        mask, shifts = (1 << bits) - 1, range(0, bits * v, bits)
+        walks = [[r >> t & mask for r in row for t in shifts] for row in zip(*powers)]
         dists = [distances_from(g, (u,)) for u in range(v)]
         # (d f_i, deg f_i) for the irreducible factors f_i of phi / d
         d = poly_gcd(phi, derivative(phi))

@@ -332,6 +332,37 @@ def test_isocheck_refuses_multi_subset_selectors(tmp_path, capsys):
         assert f"selector {selector!r} gives" in capsys.readouterr().err
 
 
+def test_isocheck_consistency_failure_names_both_graphs(tmp_path, monkeypatch, capsys):
+    # an end and the middle of P3 are not isomorphic pairs, and their cones
+    # (P4 and the star K_{1,3}) are not cospectral
+    monkeypatch.setattr(cli.pairiso, "pairs_isomorphic", lambda p1, p2: True)
+    code, text = run(["isocheck", "Bg", "0", "Bg", "1"], tmp_path)
+    assert code == cli.EXIT_INCONSISTENT and text == ""
+    err = capsys.readouterr().err
+    assert "graphs Bg subset [0] and Bg subset [1]: rational-function and cone" in err
+
+
+def test_isocheck_both_controllable_reads_the_full_reports(tmp_path, monkeypatch, capsys):
+    # a rank verdict that says "controllable" disagrees with the pole count
+    monkeypatch.setattr(cli.control, "int_rank", lambda rows: len(rows))
+    code, text = run(["isocheck", P3, "1", P3, "1"], tmp_path)
+    assert code == cli.EXIT_INCONSISTENT and text == ""
+    err = capsys.readouterr().err
+    assert f"graphs {P3} subset [1] and {P3} subset [1]: characterizations disagree" in err
+
+
+def test_lti_consistency_failure_names_the_spec_file(tmp_path, monkeypatch, capsys):
+    def broken(sys_):
+        raise InternalConsistencyError("transfer function check failed")
+
+    monkeypatch.setattr(cli.lti_mod, "transfer_function", broken)
+    spec = tmp_path / "sys.json"
+    spec.write_text(json.dumps(K2_SYSTEM))
+    code, text = run(["lti", str(spec)], tmp_path)
+    assert code == cli.EXIT_INCONSISTENT and text == ""
+    assert f"system spec {spec}: transfer function check failed" in capsys.readouterr().err
+
+
 def test_lti_k2_transfer(tmp_path):
     spec = tmp_path / "sys.json"
     spec.write_text(json.dumps(K2_SYSTEM))

@@ -22,7 +22,6 @@ from ctrlgraph.control import (
     vertex_deleted_char_polys,
     is_vertex_controllable,
     packed_powers,
-    vertex_walks,
     walk_matrix,
     walk_matrix_rank,
 )
@@ -32,6 +31,7 @@ from ctrlgraph.graphs import (
     complete,
     cycle,
     empty,
+    parse_graph6,
     path,
     path_extension,
 )
@@ -490,14 +490,34 @@ def test_gram_rank_matches_flattened_powers_rank(monkeypatch):
         assert int_rank(gram) == int_rank(flat), g
 
 
-def test_vertex_walks_unpack_the_powers_of_complete_graphs():
-    # K_v has the most walks of any graph on v vertices, r^k for r = v - 1
+def test_full_reports_read_the_packed_powers_of_complete_and_empty_graphs():
+    # K_v has the most walks of any graph on v vertices, r^k for r = v - 1;
+    # every singleton and V, summed from W(e_u) read off the packed powers,
+    # against the one-pair call, which walks its pair directly
     for v in range(13):
-        g = complete(v)
-        direct = [krylov_columns(g.rows, [int(i == u) for i in range(v)], v) for u in range(v)]
-        assert vertex_walks(g) == direct, v
+        for g in (complete(v), empty(v)):
+            subsets = [*([u] for u in range(v)), range(v)]
+            pairs = [PairSpec.from_subset(g, s) for s in subsets]
+            alone = [full_report(p) for p in pairs]
+            assert with_verdicts(full_reports(g, pairs)) == with_verdicts(alone), g
         # the Gram route: only K_0, K_1 and K_2 have simple eigenvalues
-        assert subset_count(g) == {0: 1, 1: 1, 2: 2}.get(v, 0), v
+        assert subset_count(complete(v)) == {0: 1, 1: 1, 2: 2}.get(v, 0), v
+        assert subset_count(empty(v)) == {0: 1, 1: 1}.get(v, 0), v
+
+
+def test_subset_count_check_sees_a_slot_width_too_narrow(monkeypatch):
+    # a width of a sign bit plus the bit length of r^(count-1) holds the
+    # powers but not the sums h_i(A) z: the S = V sums, read as signed
+    # slots, then differ from the list-walked h_i(A) 1
+    def narrow(g, count):
+        r = max([1, *map(sum, g.rows)])
+        bits = (r ** max(count - 1, 0)).bit_length() + 1
+        return krylov_columns(g.rows, [1 << bits * j for j in range(g.v)], count), bits
+
+    monkeypatch.setattr(control, "packed_powers", narrow)
+    for g in (parse_graph6("A_"), parse_graph6("BO")):  # K2, and K2 plus a lone vertex
+        with pytest.raises(InternalConsistencyError, match="summed vertex walk columns"):
+            controllable_subset_count(g, char_poly_factors(g))
 
 
 def signed_slots(x, bits, v):
@@ -521,7 +541,7 @@ def width_cases():
 
 
 def test_packed_slots_hold_every_entry_the_engines_read():
-    # every slot that `vertex_walks` reads and `controllable_subset_count`
+    # every slot that `full_reports` reads and `controllable_subset_count`
     # reads or zero-tests holds less than 2^(bits-1) in absolute value and
     # unpacks, as a signed slot, to the entry walked on lists: the entries
     # of A^k for k < count, each packed h_i(A) e_u and every subset sum

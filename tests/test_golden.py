@@ -45,6 +45,17 @@ CENSUS = {
     ),
 }
 
+# census --format json, the default format: rows and summary in one document
+CENSUS_JSON = {
+    1: "cca63716590566ecdaf89df3bfa1fc9f69de7d64e71b50976f0769b02b7aa529",
+    2: "d84373000161d7a59c7d71cd2e634ffd4ddac2862a4f51ffad26eb441b5d7599",
+    3: "e348c7b2e374b3e4efff58992b15dbb679871110dd089ed4a22f32fa05d940b9",
+    4: "32910a943264fd108a693b3f955e1e286448318e587013083f2359748e1d6432",
+    5: "d7338aa7c49904de3117331829a77da0f26f521a044b0c6b54451ed08e0d4791",
+    6: "31697b50014a7ed6e38acedc1c5aa09ed6efbaa3d1d9bc6be0bfb3e6111af2f0",
+    7: "953f6aee0a315a47465271bcf7fb2d56a7dfb09f96d0c88e2503f3adde325691",
+}
+
 # census --mode full and --mode vertices, one column group each
 FULL = {
     1: (
@@ -170,6 +181,12 @@ def command_digest(tmp_path, argv) -> str:
 @pytest.mark.parametrize("n", range(1, 8))
 def test_census_bytes(tmp_path, n):
     assert census_digests(tmp_path, DATA_DIR / f"graphs{n}.g6") == CENSUS[n]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_census_json_bytes(tmp_path, n):
+    argv = ["census", "--input", str(DATA_DIR / f"graphs{n}.g6"), "--workers", "1"]
+    assert command_digest(tmp_path, argv) == CENSUS_JSON[n]
 
 
 @pytest.mark.parametrize("mode,pins", [("full", FULL), ("vertices", VERTICES)])
