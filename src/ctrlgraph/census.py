@@ -16,7 +16,7 @@ import json
 import multiprocessing
 from dataclasses import dataclass, field, fields
 
-from . import control
+from . import control, irreducible
 from .errors import Graph6Error, InternalConsistencyError
 from .graphs import parse_graph6
 
@@ -84,14 +84,14 @@ def analyze_line(task) -> CensusRow:
         # phi's factors over Q, or None for a repeated root: the vertex and
         # subset counts and the irreducibility column are read from them;
         # the S = V columns come from the rank, checked against one gcd
-        factors = control.char_poly_factors(g)
-        irreducible = factors is not None and len(factors) == 1
+        factors = irreducible.factors(control.graph_char_poly(g))
+        phi_irreducible = factors is not None and len(factors) == 1
         if "full" in modes:
             rep = control.full_report(control.PairSpec.from_subset(g, range(g.v)))
             row.rank_full = rep.rank_of_w
             row.dual_degree_full = rep.dual_degree
             row.controllable_full = rep.controllable
-            row.irreducible_charpoly = irreducible
+            row.irreducible_charpoly = phi_irreducible
         if "vertices" in modes:
             row.controllable_vertices = control.controllable_vertex_count(g, factors)
         if "subsets" in modes:
@@ -105,7 +105,7 @@ def analyze_line(task) -> CensusRow:
         # An irreducible phi has simple, Galois-conjugate eigenvalues: an
         # eigenvector orthogonal to a nonzero rational z would make all of
         # them so, hence every nonempty S is controllable, in every mode.
-        if irreducible and (
+        if phi_irreducible and (
             row.controllable_full is False
             or row.controllable_vertices not in (None, g.v)
             or row.controllable_subsets not in (None, 2**g.v - 1)

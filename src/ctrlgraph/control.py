@@ -146,7 +146,8 @@ def packed_powers(g: Graph, count: int) -> tuple[list[list[int]], int]:
 
 def controllable_subset_count(g: Graph, factors: Sequence[tuple] | None) -> tuple[int, bool]:
     """Number of subsets S, the empty one included, with (X, S) controllable,
-    and whether S = V is; `factors` is `char_poly_factors(g)`.
+    and whether S = V is; `factors` is `irreducible.factors` of phi, or None
+    when phi has a repeated root.
 
     Every column A^k z of W(z) lies in {p(A) z : deg p < d} for d the degree
     of A's minimal polynomial, the rank of I, A, ..., A^{v-1}; so
@@ -215,10 +216,9 @@ def controllable_subset_count(g: Graph, factors: Sequence[tuple] | None) -> tupl
 
 @lru_cache(maxsize=ADJUGATE_CACHE_SIZE)
 def graph_adjugate(g: Graph) -> tuple:
-    """(phi, (D_0, ..., D_{v-1})) of the adjacency matrix, D_k the diagonal
-    of B_k in adj(tI - A) = sum_k B_k t^k: the one kernel pass per graph.
-    phi and the phi(X minus u) = sum_k D_k[u] t^k are read from it; a
-    numerator phi_S is read from phi and the walk of z."""
+    """(phi, (phi(X minus 0), ..., phi(X minus v-1))), the characteristic
+    polynomial and the diagonal of adj(tI - A): the one kernel pass per
+    graph.  A numerator phi_S is read from phi and the walk of z."""
     return adjugate_samples(g.rows)
 
 
@@ -230,11 +230,12 @@ def graph_char_poly(g: Graph) -> tuple:
 
 @lru_cache(maxsize=ADJUGATE_CACHE_SIZE)
 def vertex_deleted_char_polys(g: Graph) -> tuple[tuple, ...]:
-    """phi(X minus u, t) for every u, read off the adjugate diagonal and
+    """phi(X minus u, t) for every u, as the kernel pass returns them,
     checked against sum_u phi(X minus u) = phi' (the trace of adj(tI - A)
-    is the derivative of det(tI - A))."""
-    phi, diagonals = graph_adjugate(g)
-    deleted = tuple(trim(d[u] for d in diagonals) for u in range(g.v))
+    is the derivative of det(tI - A)).  Once the pass's divisions are
+    exact, that sum holds at any slot width, so the check guards the
+    diagonal bookkeeping: which entry lands in which vertex's polynomial."""
+    phi, deleted = graph_adjugate(g)
     if tuple(map(sum, zip(*deleted))) != derivative(phi):  # each has degree v - 1
         raise InternalConsistencyError(
             "the phi(X minus u) on the adjugate diagonal do not sum to phi'"
@@ -268,18 +269,12 @@ def is_vertex_controllable(g: Graph, u: int) -> bool:
     return len(poly_gcd(deleted, graph_char_poly(g))) == 1
 
 
-def char_poly_factors(g: Graph) -> tuple[tuple, ...] | None:
-    """The monic irreducible factors of phi over the rationals, or None when
-    phi has a repeated root and nothing is controllable."""
-    found = irreducible.factors(graph_char_poly(g))
-    return None if found is None else tuple(found)
-
-
 def controllable_vertex_count(g: Graph, factors: Sequence[tuple] | None) -> int:
     """Number of vertices u with (X, u) controllable; `factors` is
-    `char_poly_factors(g)`.  u is controllable iff phi(X minus u) is coprime
-    to phi, that is iff no factor of phi divides it.  A repeated root of phi
-    is a root of every phi(X minus u) too (interlacing), so none is then."""
+    `irreducible.factors` of phi, or None when phi has a repeated root.
+    u is controllable iff phi(X minus u) is coprime to phi, that is iff no
+    factor of phi divides it.  A repeated root of phi is a root of every
+    phi(X minus u) too (interlacing), so none is then."""
     if factors is None:
         return 0
     return sum(

@@ -9,9 +9,9 @@ one row reduction: it gives rank and determinant, and `solve` and
 `inverse` run it on the integer rows of (m | R) before an integer back
 substitution.  The characteristic polynomial and the diagonal of the
 adjugate of tI - A come together from one integer Faddeev-LeVerrier pass
-over the integer rows of A, as phi(t) and the diagonals of the
-coefficient matrices B_k of adj(tI - A) = sum B_k t^k; phi is a
-coefficient tuple, low degree first, in the polynomial format of `polys`.
+over the integer rows of A, as phi(t) and one polynomial (adj(tI - A))_uu
+per row u, coefficient tuples, low degree first, in the polynomial format
+of `polys`.
 The pass holds each row of its matrices as one integer of fixed-width
 signed slots (Kronecker substitution), each width taken from a proven
 bound on the entries.  The pass keeps no state, so its caller holds on
@@ -160,31 +160,36 @@ def inverse(m: Sequence[Sequence]) -> tuple:
     return tuple(map(tuple, _bareiss_solve(m, identity(len(m)))))
 
 
+def _slot_bits(n: int, a: int) -> int:
+    """The slot width of the Faddeev-LeVerrier pass on an n x n integer
+    matrix whose entries are at most a = max(1, max |a_ij|) in absolute
+    value.  A coefficient of phi is a signed sum of at most C(n, k) <= 2^n
+    principal minors of A, and an entry of B_k one of at most
+    C(n-1, k) <= 2^(n-1) minors of A of order m < n; by Hadamard each minor
+    is at most (sqrt(m) a)^m <= (n a)^n.  An entry of A M_j is one of
+    M_{j+1} - c_{n-j} I, so every slot ever stored holds less than
+    H = 2^(n+1) (n a)^n in absolute value, and the bit length of H, plus
+    one for the sign, keeps it below 2^(bits-1)."""
+    return ((n * a) ** n << n + 1).bit_length() + 1
+
+
 def adjugate_samples(rows: Sequence[Sequence]) -> tuple:
-    """(phi, (D_0, ..., D_{n-1})) for a square integer matrix A given by
-    its rows, where phi = det(tI - A) is a coefficient tuple, low degree
-    first, and D_k is the diagonal of B_k in adj(tI - A) = sum_k B_k t^k,
-    so that (adj(tI - A))_uu = sum_k D_k[u] t^k is det(tI - A) with row
-    and column u deleted.  A rational A is scaled to integers by its
-    caller (`clear_denominators`).
+    """(phi, (phi_0, ..., phi_{n-1})) for a square integer matrix A given
+    by its rows, where phi = det(tI - A) and phi_u = (adj(tI - A))_uu, the
+    determinant of tI - A with row and column u deleted, are coefficient
+    tuples, low degree first; phi_u is monic of degree n - 1, as
+    B_{n-1} = I in adj(tI - A) = sum_k B_k t^k, and phi_u[k] = (B_k)_uu.
+    A rational A is scaled to integers by its caller (`clear_denominators`).
 
     One integer Faddeev-LeVerrier pass: M_1 = I; for j = 1..n:
     c_{n-j} = -tr(A M_j)/j, B_{n-j} = M_j and M_{j+1} = A M_j + c_{n-j} I.
     Each division by j is exact over the integers and M_{n+1} = 0
     (Cayley-Hamilton); both are checked.  Each row of M_j is one integer
-    (Kronecker substitution): entry k sits in slot k, a signed b-bit
-    field, so row i of A M_j is sum_k a_ik (row k of M_j), one big-int
-    product and sum per nonzero a_ik, and the diagonal of A M_j, which
-    gives the trace and the diagonal of M_{j+1}, is read slot by slot.
-
-    The slot width comes from a bound, never from the values.  With
-    a = max(1, max |a_ij|), a coefficient of phi is a signed sum of at
-    most C(n, k) <= 2^n principal minors of A, and an entry of B_k one of
-    at most C(n-1, k) <= 2^(n-1) minors of A of order m < n; by Hadamard
-    each minor is at most (sqrt(m) a)^m <= (n a)^n.  An entry of A M_j is
-    one of M_{j+1} - c_{n-j} I, so every slot ever stored holds less
-    than H = 2^(n+1) (n a)^n in absolute value, and b = bit length of
-    H, plus one for the sign, keeps it below 2^(b-1).  The name is kept
+    (Kronecker substitution): entry k sits in slot k, a signed field of
+    `_slot_bits` bits, a width taken from a bound, never from the values,
+    so row i of A M_j is sum_k a_ik (row k of M_j), one big-int product and
+    sum per nonzero a_ik, and the diagonal of A M_j, which gives the trace
+    and the diagonal of M_{j+1}, is read slot by slot.  The name is kept
     because the benchmark's tracer (perfbench/spans.py) looks it up by
     name.
     """
@@ -193,8 +198,7 @@ def adjugate_samples(rows: Sequence[Sequence]) -> tuple:
         raise ValueError("adjugate of a non-square matrix")
     if not all(isinstance(x, int) for r in rows for x in r):
         raise ValueError("integer matrix required")
-    a = max((abs(x) for r in rows for x in r), default=1) or 1
-    b = ((n * a) ** n << n + 1).bit_length() + 1
+    b = _slot_bits(n, max((abs(x) for r in rows for x in r), default=1) or 1)
     half, mask = 1 << b - 1, (1 << b) - 1
     shifts = [b * i for i in range(n)]
     # round away the slots below slot i, so a negative lower part borrows nothing
@@ -215,12 +219,12 @@ def adjugate_samples(rows: Sequence[Sequence]) -> tuple:
                 f"Faddeev-LeVerrier trace not divisible by {j}"
             )
         coeffs[n - j] = c
-        diagonals[n - j] = tuple(diagonal)
+        diagonals[n - j] = diagonal
         m = [r + (c << s) for r, s in zip(am, shifts)]
         diagonal = [x + c for x in am_diagonal]
     if any(m):
         raise InternalConsistencyError("Cayley-Hamilton check failed: phi(A) != 0")
-    return tuple(coeffs), tuple(diagonals)
+    return tuple(coeffs), tuple(zip(*diagonals))
 
 
 def char_poly(rows: Sequence[Sequence]) -> tuple:

@@ -190,10 +190,10 @@ def test_max_n_guard():
 
 def test_subsets_guard_comes_before_factoring(monkeypatch):
     # a graph past the guard gets its error row without phi being factored
-    def refuse(g):
-        raise RuntimeError(f"phi of a {g.v}-vertex graph factored")
+    def refuse(phi):
+        raise RuntimeError(f"phi of a {len(phi) - 1}-vertex graph factored")
 
-    monkeypatch.setattr(control, "char_poly_factors", refuse)
+    monkeypatch.setattr(irreducible, "factors", refuse)
     line = emit_graph6(path(census.SUBSET_GUARD + 1))
     for modes in (("subsets",), ("full", "vertices", "subsets")):
         rows, summary = run_census([line], CensusConfig(modes=modes))

@@ -1,16 +1,18 @@
+import io
 import json
 import pathlib
+import sys
 
 import jsonschema
 import pytest
 import sympy
 
-from ctrlgraph import cli
+from ctrlgraph import cli, irreducible
 from ctrlgraph.control import graph_char_poly
 from ctrlgraph.errors import InternalConsistencyError
 from ctrlgraph.graphs import complete, emit_graph6, parse_graph6, path
 
-from conftest import census_lines
+from conftest import DATA_DIR, census_lines
 from test_golden import LTI_SPEC
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
@@ -86,13 +88,17 @@ def test_analyze_layout_is_json_dumps(capsys):
             assert out == want, (graph6, selector)
 
 
-def test_analyze_bad_inputs(tmp_path):
+def test_analyze_bad_inputs(tmp_path, capsys):
     code, _ = run(["analyze", "B="], tmp_path)  # char below graph6 range
     assert code == cli.EXIT_INPUT
     code, _ = run(["analyze", P3, "--subset", "0,7"], tmp_path)
     assert code == cli.EXIT_INPUT
     code, _ = run(["analyze", emit_graph6(path(17)), "--subset", "all"], tmp_path)
     assert code == cli.EXIT_GUARD
+    capsys.readouterr()
+    code, text = run(["analyze", P3, "--subset", "x"], tmp_path)
+    assert code == cli.EXIT_INPUT and text == ""
+    assert "bad subset selector 'x'" in capsys.readouterr().err
 
 
 def test_analyze_consistency_failure_names_graph_and_subset(tmp_path, monkeypatch, capsys):
@@ -121,16 +127,16 @@ def test_analyze_singleton_numerator_check_names_graph(tmp_path, monkeypatch, ca
 
 
 def test_analyze_vertex_deleted_polys_must_sum_to_the_derivative(tmp_path, monkeypatch, capsys):
-    # a corrupted adjugate diagonal: (B_0)_00, the constant term of
-    # phi(P3 minus 0) = t^2 - 1, read as 0, so sum_u phi(X minus u) is no
-    # longer phi'
+    # a corrupted adjugate diagonal: the constant term of
+    # phi(P3 minus 0) = t^2 - 1, as the kernel pass returns it, read as 0,
+    # so sum_u phi(X minus u) is no longer phi'
     real = cli.control.graph_adjugate.__wrapped__
 
     def corrupted(g):
-        phi, diagonals = real(g)
-        diagonals = [list(d) for d in diagonals]
-        diagonals[0][0] += 1
-        return phi, diagonals
+        phi, deleted = real(g)
+        deleted = [list(d) for d in deleted]
+        deleted[0][0] += 1
+        return phi, deleted
 
     monkeypatch.setattr(cli.control, "graph_adjugate", corrupted)
     cli.control.vertex_deleted_char_polys.cache_clear()
@@ -241,6 +247,21 @@ def test_census_summary_out_in_both_formats(tmp_path):
     assert summaries["json"]["total_lines"] == 2
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_census_csv_from_stdin_matches_the_file_run(tmp_path, monkeypatch, capsys, n):
+    # the benchmark's path: graph6 on stdin, CSV on stdout, summary on stderr
+    source = DATA_DIR / f"graphs{n}.g6"
+    csv, summary = tmp_path / "out.csv", tmp_path / "summary.json"
+    argv = ["census", "--format", "csv"]
+    assert cli.main([*argv, "--input", str(source), "--out", str(csv),
+                     "--summary-out", str(summary)]) == cli.EXIT_OK
+    monkeypatch.setattr(sys, "stdin", io.StringIO(source.read_text()))
+    assert cli.main(argv) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.encode() == csv.read_bytes()
+    assert err.encode() == summary.read_bytes()
+
+
 def test_census_refuses_fewer_than_one_worker(tmp_path, capsys):
     g6file = tmp_path / "in.g6"
     g6file.write_text("A_\n")
@@ -294,7 +315,7 @@ def test_census_irreducible_charpoly_forces_controllable(tmp_path, monkeypatch, 
     # K2 is not controllable with S = V, so an irreducible phi there is a bug;
     # the full report takes its own gcd, so the false factor reaches only the
     # irreducibility check
-    monkeypatch.setattr(cli.control, "char_poly_factors", lambda g: (graph_char_poly(g),))
+    monkeypatch.setattr(irreducible, "factors", lambda phi: [phi])
     g6file = tmp_path / "in.g6"
     g6file.write_text("A_\n")
     code, _ = run(["census", "--input", str(g6file), "--workers", "1"], tmp_path)
@@ -318,6 +339,17 @@ def test_isocheck_non_isomorphic(tmp_path):
     doc = json.loads(text)
     assert doc["isomorphic"] is False
     assert "q" not in doc
+    # P3 and K3 differ in phi, so their numerators are never compared
+    code, text = run(["isocheck", P3, "0", "Bw", "0"], tmp_path)
+    assert code == cli.EXIT_OK
+    doc = json.loads(text)
+    assert doc["routes"] == {"rational_function": False, "cone_cospectral": False}
+
+
+def test_isocheck_malformed_graph6(tmp_path, capsys):
+    code, text = run(["isocheck", P3, "0", "B=", "0"], tmp_path)
+    assert code == cli.EXIT_INPUT and text == ""
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_isocheck_size_mismatch(tmp_path):
@@ -374,6 +406,22 @@ def test_lti_k2_transfer(tmp_path):
     tf = doc["transfer_function"]
     assert tf["numerator"] == ["-1"]
     assert tf["denominator"] == ["-1", "0", "1"]
+
+
+def test_lti_reports_a_generating_identity_mismatch(tmp_path, monkeypatch):
+    real = cli.lti_mod.simulate
+
+    def drifting(sys_, inputs, steps):
+        states = real(sys_, inputs, steps)
+        states[2][0] += 1
+        return states
+
+    monkeypatch.setattr(cli.lti_mod, "simulate", drifting)
+    spec = tmp_path / "sys.json"
+    spec.write_text(json.dumps(LTI_SPEC))
+    code, text = run(["lti", str(spec)], tmp_path)
+    assert code == cli.EXIT_OK
+    assert json.loads(text)["generating_identity"] == {"ok": False, "first_mismatch": 2}
 
 
 def test_lti_recovery_and_singular_case(tmp_path):
@@ -477,6 +525,7 @@ def test_lti_rejects_malformed_arrays_and_counts(tmp_path, capsys):
         ({"order": "3"}, "order must be a non-negative integer"),
         ({"order": 2.0}, "order must be a non-negative integer"),
         ({"recover": {"outputs": "10", "m": 0}}, "recover.outputs must be"),
+        ({"recover": {"m": 0}}, "malformed recovery spec: 'outputs'"),
         ({"recover": {"outputs": [1, 0], "m": -1}}, "recover.m must be"),
         ({"recover": {"outputs": [1, 0], "m": False}}, "recover.m must be"),
     ]
@@ -488,7 +537,7 @@ def test_lti_rejects_malformed_arrays_and_counts(tmp_path, capsys):
         assert message in capsys.readouterr().err, case
 
 
-def test_lti_bad_spec(tmp_path):
+def test_lti_bad_spec(tmp_path, capsys):
     spec = tmp_path / "sys.json"
     spec.write_text("{not json")
     code, _ = run(["lti", str(spec)], tmp_path)
@@ -496,3 +545,8 @@ def test_lti_bad_spec(tmp_path):
     spec.write_text(json.dumps({"a": [[0]], "b": [1, 2], "c": [1]}))
     code, _ = run(["lti", str(spec)], tmp_path)
     assert code == cli.EXIT_INPUT
+    capsys.readouterr()
+    spec.write_text(json.dumps({"a": [[0, 1], [1, 0]], "c": [1, 0]}))
+    code, text = run(["lti", str(spec)], tmp_path)
+    assert code == cli.EXIT_INPUT and text == ""
+    assert "malformed system spec: 'b'" in capsys.readouterr().err

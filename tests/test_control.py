@@ -8,7 +8,6 @@ from ctrlgraph import control, irreducible
 from ctrlgraph.control import (
     PairSpec,
     algebra_basis_check,
-    char_poly_factors,
     cone_charpoly_identity,
     cone_transfer_check,
     controllable_subset_count,
@@ -51,6 +50,11 @@ from oracles import (
 )
 
 K1 = Graph.from_edges(1, ())
+
+
+def phi_factors(g):
+    """The census's factors of phi: `irreducible.factors`, None for a repeated root."""
+    return irreducible.factors(graph_char_poly(g))
 
 
 def test_path_char_polys_match_recurrence():
@@ -221,7 +225,7 @@ def test_full_reports_match_per_pair_reference():
 def test_full_reports_on_repeated_roots_match_per_pair_reference():
     # deg gcd(phi_S, phi) from the factors of phi / gcd(phi, phi') and their
     # multiplicities, on every 7-vertex graph whose phi has a repeated root
-    graphs = [g for g in census_graphs(7) if char_poly_factors(g) is None]
+    graphs = [g for g in census_graphs(7) if phi_factors(g) is None]
     assert len(graphs) == 464
     for g in graphs:
         check_against_reference(g)
@@ -362,17 +366,17 @@ def test_path_extension_controllability_family():
 
 
 def irreducible_charpoly(g):
-    factors = char_poly_factors(g)
+    factors = phi_factors(g)
     return factors is not None and len(factors) == 1
 
 
 def test_charpoly_irreducible():
     assert not irreducible_charpoly(path(2))  # t^2 - 1
-    assert char_poly_factors(path(2)) == ((-1, 1), (1, 1))
+    assert phi_factors(path(2)) == [(-1, 1), (1, 1)]
     assert not irreducible_charpoly(path(3))  # root 0
-    assert char_poly_factors(path(3)) == ((0, 1), (-2, 0, 1))
+    assert phi_factors(path(3)) == [(0, 1), (-2, 0, 1)]
     assert not irreducible_charpoly(empty(13))  # t^13: no degree cap
-    assert char_poly_factors(empty(13)) is None
+    assert phi_factors(empty(13)) is None
     assert irreducible_charpoly(K1)
 
 
@@ -399,7 +403,7 @@ def test_from_vector_validation():
 
 
 def subset_count(g):
-    return controllable_subset_count(g, char_poly_factors(g))[0]
+    return controllable_subset_count(g, phi_factors(g))[0]
 
 
 def test_subset_count_matches_per_subset_loop():
@@ -438,7 +442,7 @@ def test_full_reports_beyond_data_match_one_pair_calls():
 def test_subset_count_full_verdict_matches_rank():
     # the factor route's verdict at S = V is the walk-matrix rank's
     for g in all_graphs_upto(7):
-        _, whole = controllable_subset_count(g, char_poly_factors(g))
+        _, whole = controllable_subset_count(g, phi_factors(g))
         assert whole == is_controllable_rank(PairSpec.from_subset(g, range(g.v))), g
 
 
@@ -456,8 +460,8 @@ def test_subset_count_refuses_wrong_factors():
 def test_vertex_count_matches_gcd_oracle():
     # no factor of phi divides phi(X minus u) iff the two are coprime
     for g in all_graphs_upto(7):
-        assert controllable_vertex_count(g, char_poly_factors(g)) == vertex_count_by_gcd(g), g
-    assert controllable_vertex_count(path(3), char_poly_factors(path(3))) == 2
+        assert controllable_vertex_count(g, phi_factors(g)) == vertex_count_by_gcd(g), g
+    assert controllable_vertex_count(path(3), phi_factors(path(3))) == 2
 
 
 def test_walk_rank_bounded_by_minimal_polynomial_degree():
@@ -481,7 +485,7 @@ def test_gram_rank_matches_flattened_powers_rank(monkeypatch):
     for g in graphs:
         v = g.v
         ranked.clear()
-        controllable_subset_count(g, char_poly_factors(g))
+        controllable_subset_count(g, phi_factors(g))
         gram = ranked[0][0]
         walks = [krylov_columns(g.rows, [int(i == u) for i in range(v)], 2 * v - 1) for u in range(v)]
         traces = [sum(walks[u][m][u] for u in range(v)) for m in range(2 * v - 1)]
@@ -517,7 +521,7 @@ def test_subset_count_check_sees_a_slot_width_too_narrow(monkeypatch):
     monkeypatch.setattr(control, "packed_powers", narrow)
     for g in (parse_graph6("A_"), parse_graph6("BO")):  # K2, and K2 plus a lone vertex
         with pytest.raises(InternalConsistencyError, match="summed vertex walk columns"):
-            controllable_subset_count(g, char_poly_factors(g))
+            controllable_subset_count(g, phi_factors(g))
 
 
 def signed_slots(x, bits, v):
@@ -556,7 +560,7 @@ def test_packed_slots_hold_every_entry_the_engines_read():
                     entries = signed_slots(x, bits, v)
                     assert entries == walks[u][k], (g, count)
                     assert max(entries, default=0) < 1 << bits - 1, (g, count)
-        factors = char_poly_factors(g)
+        factors = phi_factors(g)
         if factors is None or v == 0:
             continue  # the engine builds no sum
         powers, bits = packed_powers(g, 2 * v - 1)

@@ -4,7 +4,7 @@ import random
 import pytest
 import sympy
 
-from ctrlgraph.control import char_poly_factors, controllable_subset_count, graph_char_poly
+from ctrlgraph.control import controllable_subset_count, graph_char_poly
 from ctrlgraph.errors import InternalConsistencyError
 from ctrlgraph.graphs import Graph, cycle, parse_graph6, path
 from ctrlgraph import irreducible
@@ -120,7 +120,7 @@ TRAP_GRAPHS = {
 def test_recombination_past_half_the_pieces():
     for g6, (expected, subsets) in TRAP_GRAPHS.items():
         g = parse_graph6(g6)
-        assert char_poly_factors(g) == expected, g6
+        assert factors(graph_char_poly(g)) == list(expected), g6
         assert controllable_subset_count(g, expected)[0] == subsets, g6
     phi = graph_char_poly(parse_graph6("GCpfr{"))
     pieces = irreducible._factor_mod(irreducible._reduce(phi, 67), 67)
@@ -190,7 +190,7 @@ def test_factors_refuses_bad_input():
         factors((1, 2))  # 2t + 1
     with pytest.raises(ValueError, match="monic"):
         factors(())
-    # a repeated root is no error: it is the None that char_poly_factors reads
+    # a repeated root is no error: it is the None that the census reads
     assert factors(mul((-2, 0, 1), (-2, 0, 1))) is None  # (t^2 - 2)^2: no good prime exists
     assert factors((0, 0, 1)) is None
 
@@ -201,3 +201,20 @@ def test_factors_checks_their_product(monkeypatch):
     monkeypatch.setattr(irreducible, "_zassenhaus", lambda f: [f, (1, 1)])
     with pytest.raises(InternalConsistencyError, match="multiply to"):
         factors((-2, 0, 1))
+
+
+def test_split_refuses_a_block_no_t_plus_c_splits(monkeypatch):
+    # with (t + c)^e read as 1 for every c, no gcd splits (t - 1)(t - 2) mod 67
+    monkeypatch.setattr(irreducible, "_powmod", lambda a, e, f, p: (1,))
+    block = irreducible._reduce(mul((-1, 1), (-2, 1)), 67)
+    with pytest.raises(InternalConsistencyError, match="no t \\+ c splits a degree-1 block mod 67"):
+        irreducible._split(block, 1, 67)
+
+
+def test_factors_check_the_hensel_product(monkeypatch):
+    # phi of GCpfr{ has 6 pieces mod 67 and is lifted to m >= 67^2, so
+    # pieces left unlifted multiply to phi mod 67 only
+    phi = graph_char_poly(parse_graph6("GCpfr{"))
+    monkeypatch.setattr(irreducible, "_hensel_lift", lambda f, g, p, m: g)
+    with pytest.raises(InternalConsistencyError, match="Hensel lift of .* fails mod"):
+        factors(phi)

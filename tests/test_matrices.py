@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ctrlgraph import matrices
+from ctrlgraph.errors import InternalConsistencyError
 from ctrlgraph.matrices import (
     adjugate_samples,
     bilinear_numerator_fractions,
@@ -22,7 +24,7 @@ from ctrlgraph.matrices import (
     solve,
     transpose,
 )
-from ctrlgraph.graphs import complete
+from ctrlgraph.graphs import complete, parse_graph6
 from ctrlgraph.polys import mul
 
 from conftest import all_graphs_upto, all_subsets
@@ -102,8 +104,8 @@ def test_char_poly_matches_cofactor_oracle(rows, c):
 
 
 def _packed_pass_agrees(rows):
-    """The packed pass gives the list pass's phi and the diagonals of its
-    B_k, and every slot value it stores stays below its docstring's bound
+    """The packed pass gives the list pass's phi and, per vertex i, the
+    polynomial sum_k (B_k)_ii t^k, and every slot value it stores stays below its docstring's bound
     2^(n+1) (n a)^n: the entries of each M_j = B_{n-j}, and those of
     A M_j = M_{j+1} - c_{n-j} I, whose diagonal is B_{k-1}[i][i] - c_k
     for k = n - j >= 1 and -c_0 for j = n."""
@@ -111,7 +113,7 @@ def _packed_pass_agrees(rows):
     phi, bs = list_adjugate(rows)
     assert adjugate_samples(rows) == (
         phi,
-        tuple(tuple(bk[i][i] for i in range(n)) for bk in bs),
+        tuple(tuple(bk[i][i] for bk in bs) for i in range(n)),
     )
     a = max((abs(x) for r in rows for x in r), default=1) or 1
     stored = [x for bk in bs for r in bk for x in r] + [phi[0]]
@@ -180,6 +182,17 @@ def test_adjugate_samples_requires_integral_rows():
         adjugate_samples([[Fraction(1, 2), 0], [1, 0]])
     with pytest.raises(ValueError):
         adjugate_samples([[0, 1], [1]])
+
+
+def test_pass_checks_fire_at_a_slot_width_too_narrow(monkeypatch):
+    # 4-bit slots overflow on 8-vertex graphs: K8's trace of A M_3 is read
+    # wrong and is not divisible by 3, while G?BED_ reads traces that all
+    # divide yet end with M_9 != 0
+    monkeypatch.setattr(matrices, "_slot_bits", lambda n, a: 4)
+    with pytest.raises(InternalConsistencyError, match="trace not divisible by 3"):
+        adjugate_samples(parse_graph6("G~~~~{").rows)
+    with pytest.raises(InternalConsistencyError, match="Cayley-Hamilton"):
+        adjugate_samples(parse_graph6("G?BED_").rows)
 
 
 def test_solve_and_inverse():
