@@ -18,12 +18,17 @@ which each row of A^k is one integer, read in place where it is summed.
 
 `full_reports` builds the reports of many pairs of one graph in one pass:
 each subset's walk matrix summed from its members' walks W(e_u), read
-from the packed powers, phi_S read from phi and those walk columns, and
-every report checked for rank W(z) = v - deg gcd(phi_S, phi).  That degree is
-deg d, for d = gcd(phi, phi'), plus deg f_i for each irreducible factor f_i
-of A's minimal polynomial phi / d with d f_i dividing phi_S; d and the f_i
-are found once per call (`irreducible.factors`).  `full_report` is its
-one-pair call, which is never factored: it takes one `poly_gcd(phi_S, phi)`.
+from the packed powers, and every report checked for
+rank W(z) = v - deg gcd(phi_S, phi).  That degree is deg d, for
+d = gcd(phi, phi'), plus deg f_i for each irreducible factor f_i of A's
+minimal polynomial mu = phi / d with d f_i dividing phi_S, found once per
+call (`irreducible.factors`).  With h_i = mu / f_i, d f_i divides phi_S
+iff h_i(A) z = 0, so a nonempty subset reads it from the sum of its
+members' packed h_i(A) e_u, as the subset count does, and phi_S is read
+from phi and the walk columns only for a singleton (checked against
+phi(X minus u)), the empty subset and integer vectors.  `full_report` is
+its one-pair call, which is never factored: it takes one
+`poly_gcd(phi_S, phi)`.
 """
 
 from __future__ import annotations
@@ -144,6 +149,14 @@ def packed_powers(g: Graph, count: int) -> tuple[list[list[int]], int]:
     return krylov_columns(g.rows, [1 << bits * j for j in range(v)], count), bits
 
 
+def apply_poly(h: Sequence[int], walk: Sequence[Sequence], v: int) -> list:
+    """h(A) z = sum_k h[k] A^k z, from the walk columns z, Az, ... of z.
+    On `packed_powers` it gives the packed columns h(A) e_u, entry u being
+    sum_k h[k] times row u of A^k; a subset's h(A) z is the sum of its
+    members' columns."""
+    return [sum(c * col[j] for c, col in zip(h, walk)) for j in range(v)]
+
+
 def controllable_subset_count(g: Graph, factors: Sequence[tuple] | None) -> tuple[int, bool]:
     """Number of subsets S, the empty one included, with (X, S) controllable,
     and whether S = V is; `factors` is `irreducible.factors` of phi, or None
@@ -163,7 +176,7 @@ def controllable_subset_count(g: Graph, factors: Sequence[tuple] | None) -> tupl
     of f_i.  As h_i(A) z is linear in z, each factor's sums are built by
     doubling, indexed by bitmask: from [0], each vertex u appends every sum
     so far plus its packed column h_i(A) e_u = sum_k h_i[k] A^k e_u, which
-    is the same sum over the packed rows u of the powers.
+    is the same sum over the packed rows u of the powers (`apply_poly`).
 
     Each h_i is a monic divisor of phi of degree below v, so by
     `packed_powers`' width every entry of a sum, an entry of h_i(A) z for a
@@ -186,23 +199,17 @@ def controllable_subset_count(g: Graph, factors: Sequence[tuple] | None) -> tupl
     if repeated:
         return 0, False
     hs = [exact_div(graph_char_poly(g), f) for f in factors]
-
-    # h(A) z from the walk columns z, Az, ...; on the powers, the packed
-    # columns h(A) e_u
-    def apply(h, walk):
-        return [sum(c * col[j] for c, col in zip(h, walk)) for j in range(v)]
-
     sums = []  # sums[i][k]: packed h_i(A) z for the subset with bitmask k
     for h in hs:
         s = [0]
-        for col in apply(h, powers):
+        for col in apply_poly(h, powers, v):
             s += [x + col for x in s]
         sums.append(s)
     ones = krylov_columns(g.rows, [1] * v, v)
     # the last sums as signed slots, rounded so a negative lower part borrows nothing
     half, shifts = 1 << bits - 1, range(0, bits * v, bits)
     got = [[((s[-1] + (1 << t >> 1) >> t) + half & mask) - half for t in shifts] for s in sums]
-    if got != [apply(h, ones) for h in hs]:
+    if got != [apply_poly(h, ones, v) for h in hs]:
         raise InternalConsistencyError(
             "summed vertex walk columns h_i(A) e_u differ from h_i(A) 1"
         )
@@ -313,8 +320,7 @@ def _pair_name(p: PairSpec) -> str:
 def full_reports(g: Graph, pairs: Sequence[PairSpec]) -> list[ControllabilityReport]:
     """The report of every pair, all on g, from one pass over g.
 
-    Per pair: the rank of W(z) by Bareiss; phi_S from phi and the same walk
-    columns (`bilinear_numerator_fractions`); and deg gcd(phi_S, phi).  As
+    Per pair: the rank of W(z) by Bareiss, and deg gcd(phi_S, phi).  As
     z^T (tI-A)^{-1} z = phi_S / phi = sum_theta |E_theta z|^2/(t - theta),
     for a root theta of phi of multiplicity m, (t - theta)^(m-1) divides
     phi_S, and (t - theta)^m does iff E_theta z = 0; Galois conjugates go
@@ -322,22 +328,29 @@ def full_reports(g: Graph, pairs: Sequence[PairSpec]) -> list[ControllabilityRep
     f_i, d = gcd(phi, phi') = prod f_i^{m_i - 1} divides every phi_S, and
     deg gcd(phi_S, phi) = deg d + sum deg f_i over the f_i with d f_i
     dividing phi_S: no multiplicity is needed.  With more than one pair,
-    the f_i come from one `irreducible.factors(phi / d)`, the factors of
-    the minimal polynomial, which must be squarefree; a lone pair (the
-    census's S = V report, a one-subset `analyze`) takes one
-    `poly_gcd(phi_S, phi)` instead, which costs less than factoring.
+    the f_i come from one `irreducible.factors(mu)` of A's minimal
+    polynomial mu = phi / d, which must be squarefree, and with
+    h_i = mu / f_i, d f_i divides phi_S iff h_i(A) z = 0: h_i(A) is
+    sum_theta h_i(theta) E_theta, and h_i(theta) != 0 exactly at the roots
+    of f_i.  This holds for any pairwise coprime f_i, irreducible or not.
+    A lone pair (the census's S = V report, a one-subset `analyze`) takes
+    one `poly_gcd(phi_S, phi)` instead, which costs less than factoring.
     rank W(z) counts the theta with E_theta z != 0, so every report checks
     rank W(z) = v - deg gcd(phi_S, phi), besides the agreement of the
-    verdicts; a reducible "factor" fails this check.  A singleton {u} also
-    checks its phi_S against phi(X minus u) from the adjugate diagonal, a
-    second computation of one polynomial.
+    verdicts; a reducible "factor" fails this check.
 
-    W(z) is linear in z, so with more than one pair, every nonempty subset
-    takes W as the sum of its members' walks W(e_u), read from the packed
-    rows u of the powers (walk counts: a shift and a mask each), and its
-    covering radius from their BFS distance rows; any other pair, and a
-    lone pair, is walked directly.  Nothing is kept per subset: memory is
-    O(v^3).
+    W(z) and h_i(A) z are linear in z, so with more than one pair, every
+    nonempty subset sums its members' packed columns, read from the packed
+    rows u of the powers: the walk columns A^k e_u, unpacked once summed
+    (walk counts: a shift and a mask each), and the h_i(A) e_u, whose sum
+    is zero iff h_i(A) z is (`packed_powers`' width).  Its covering radius
+    comes from their BFS distance rows.  Every other pair, and a lone
+    pair, is walked directly.  phi_S, from phi and the walk columns
+    (`bilinear_numerator_fractions`), is read where no sum decides: for the
+    empty subset and integer vectors, which test each d f_i for dividing
+    it; for a lone pair; and for a singleton {u}, which checks it against
+    phi(X minus u) from the adjugate diagonal, a second computation of one
+    polynomial.  Nothing is kept per subset: memory is O(v^3).
     """
     v = g.v
     if any(p.graph != g for p in pairs):
@@ -345,37 +358,46 @@ def full_reports(g: Graph, pairs: Sequence[PairSpec]) -> list[ControllabilityRep
     phi = graph_char_poly(g)
     deleted = vertex_deleted_char_polys(g)
     table = len(pairs) > 1
-    if table:  # W(e_u) flattened and the BFS distance row of u, per vertex u
-        powers, bits = packed_powers(g, v)
-        mask, shifts = (1 << bits) - 1, range(0, bits * v, bits)
-        walks = [[r >> t & mask for r in row for t in shifts] for row in zip(*powers)]
-        dists = [distances_from(g, (u,)) for u in range(v)]
-        # (d f_i, deg f_i) for the irreducible factors f_i of phi / d
+    if table:
         d = poly_gcd(phi, derivative(phi))
-        mu = irreducible.factors(exact_div(phi, d))
-        if mu is None:
+        mu = exact_div(phi, d)  # A's minimal polynomial
+        factors = irreducible.factors(mu)
+        if factors is None:
             raise InternalConsistencyError(
                 f"phi / gcd(phi, phi') has a repeated root for phi = {phi}"
             )
-        divisors = [(mul(d, f), len(f) - 1) for f in mu]
+        degrees = [len(f) - 1 for f in factors]
+        divisors = [mul(d, f) for f in factors]
+        # per vertex u: the packed A^k e_u for k < v, then the packed h_i(A) e_u
+        # of each factor, and the BFS distance row of u
+        powers, bits = packed_powers(g, v)
+        hs = [apply_poly(exact_div(mu, f), powers, v) for f in factors]
+        columns = list(zip(*powers, *hs))
+        mask, shifts = (1 << bits) - 1, range(0, bits * v, bits)
+        dists = [distances_from(g, (u,)) for u in range(v)]
     reports = []
     for p in pairs:
         s = p.subset
-        if s and table:
-            flat = list(map(sum, zip(*(walks[u] for u in s))))
-            cols = [flat[k : k + v] for k in range(0, v * v, v)]
+        summed = table and bool(s)
+        if summed:  # walk counts are nonnegative: each entry is a shift and a mask
+            sums = list(map(sum, zip(*(columns[u] for u in s))))
+            cols = [[x >> t & mask for t in shifts] for x in sums[:v]]
             radius = max(map(min, zip(*(dists[u] for u in s))))
         else:
             cols = walk_columns(p)
             radius = None if s is None else covering_radius(g, s)
         rank = int_rank(cols)
-        phi_s = trim(bilinear_numerator_fractions(phi, p.vector, cols))
-        if table:
-            common = len(d) - 1 + sum(k for df, k in divisors if divides(df, phi_s))
+        singleton = s is not None and len(s) == 1
+        if singleton or not summed:
+            phi_s = trim(bilinear_numerator_fractions(phi, p.vector, cols))
+        if summed:  # d f_i divides phi_S iff h_i(A) z = 0
+            common = len(d) - 1 + sum(k for k, hz in zip(degrees, sums[v:]) if not hz)
+        elif table:
+            common = len(d) - 1 + sum(k for k, df in zip(degrees, divisors) if divides(df, phi_s))
         else:
             common = len(poly_gcd(phi_s, phi)) - 1
         verdicts = {"rank": rank == v, "poles": common == 0}
-        if s is not None and len(s) == 1:
+        if singleton:
             if phi_s != deleted[s[0]]:
                 raise InternalConsistencyError(
                     f"phi_S read from the walk of {_pair_name(p)} differs from"

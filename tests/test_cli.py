@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import jsonschema
@@ -147,6 +149,33 @@ def test_analyze_vertex_deleted_polys_must_sum_to_the_derivative(tmp_path, monke
     assert code == cli.EXIT_INCONSISTENT and text == ""
     err = capsys.readouterr().err
     assert f"graph {P3}: the phi(X minus u) on the adjugate diagonal do not sum to phi'" in err
+
+
+def fresh_stdout(argv) -> str:
+    """What the CLI writes to stdout in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parent.parent)}
+    argv = [sys.executable, "-m", "ctrlgraph.cli", *argv]
+    return subprocess.run(argv, capture_output=True, text=True, check=True, env=env).stdout
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # main builds its parser on the first call and reuses it: analyze,
+    # census and analyze again, each to stdout and then with --out, write
+    # the bytes of a fresh call
+    calls = [
+        ["analyze", P5, "--subset", "all"],
+        ["census", "--input", str(DATA_DIR / "graphs4.g6"), "--format", "csv"],
+        ["analyze", "DhC", "--subset", "vertices"],
+    ]
+    out, parser = tmp_path / "out.txt", None
+    for argv in calls:
+        want = fresh_stdout(argv)
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out == want, argv
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+        assert out.read_text() == want and capsys.readouterr().out == "", argv
+        parser = parser or cli._parser
+        assert cli._parser is parser, argv
 
 
 def test_census_csv_and_json_agree(tmp_path):

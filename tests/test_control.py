@@ -8,6 +8,7 @@ from ctrlgraph import control, irreducible
 from ctrlgraph.control import (
     PairSpec,
     algebra_basis_check,
+    apply_poly,
     cone_charpoly_identity,
     cone_transfer_check,
     controllable_subset_count,
@@ -21,6 +22,7 @@ from ctrlgraph.control import (
     vertex_deleted_char_polys,
     is_vertex_controllable,
     packed_powers,
+    walk_columns,
     walk_matrix,
     walk_matrix_rank,
 )
@@ -233,13 +235,43 @@ def test_full_reports_on_repeated_roots_match_per_pair_reference():
 
 def test_full_reports_check_the_multiplicity_sum(monkeypatch):
     # K3: phi = (t - 2)(t + 1)^2 and d = t + 1.  A reducible "factor"
-    # t^2 - t - 2 of phi / d makes d f = phi, which does not divide phi_S of
-    # S = V, so gcd(phi_S, phi) reads as degree 1 against a rank of 1
+    # f = t^2 - t - 2 of mu = phi / d leaves h = mu / f = 1, and h(A) 1 != 0
+    # (d f = phi does not divide phi_S of S = V), so gcd(phi_S, phi) reads
+    # as degree 1 against a rank of 1
     monkeypatch.setattr(irreducible, "_zassenhaus", lambda f: [f])
     g = complete(3)
     pairs = [PairSpec.from_subset(g, s) for s in all_subsets(3)]
     with pytest.raises(InternalConsistencyError, match=r"rank of W\(z\) is 1.*subset \[0, 1, 2\]"):
         full_reports(g, pairs)
+
+
+def test_full_reports_check_a_misfactored_squarefree_phi(monkeypatch):
+    # P4: phi = (t^2 - t - 1)(t^2 + t - 1) is squarefree, so d = 1 and
+    # mu = phi.  Left whole, phi is its own one "factor": h = mu / phi = 1
+    # and h(A) z = z is never 0, so every nonempty subset reads as v poles.
+    # {0, 3} is fixed by the reflection of P4, so rank W(z) is below v
+    monkeypatch.setattr(irreducible, "_zassenhaus", lambda f: [f])
+    g = path(4)
+    pairs = [PairSpec.from_subset(g, s) for s in all_subsets(4)]
+    with pytest.raises(InternalConsistencyError, match=r"characterizations disagree for subset \[0, 3\]"):
+        full_reports(g, pairs)
+
+
+def test_full_reports_read_phi_s_where_no_sum_decides(monkeypatch):
+    # with many pairs, a nonempty subset reads its pole count from the sums
+    # h_i(A) z; phi_S is read only for a singleton (checked against
+    # phi(X minus u)), the empty subset and an integer vector
+    read = []
+    count_calls(monkeypatch, control, "bilinear_numerator_fractions", read)
+    rng = random.Random(24)
+    for g in (path(6), cycle(6), complete(4), parse_graph6("GhCGKC")):
+        pairs = [PairSpec.from_subset(g, s) for s in all_subsets(g.v)]
+        pairs += [PairSpec.from_vector(g, [rng.randint(-3, 3) for _ in range(g.v)]) for _ in range(3)]
+        rng.shuffle(pairs)
+        read.clear()
+        full_reports(g, pairs)
+        want = [p.vector for p in pairs if p.subset is None or len(p.subset) < 2]
+        assert [args[1] for args in read] == want, g
 
 
 def test_full_reports_check_the_minimal_polynomial_is_squarefree(monkeypatch):
@@ -285,7 +317,7 @@ def test_full_reports_walk_once_per_singleton(monkeypatch):
     # one packed Krylov pass before the loop, on the packed identity with
     # slots a sign bit wider than v (2r)^(v-1) = 5 * 4^4 for the largest
     # degree r = 2, then the empty subset walked directly; every larger
-    # subset is summed from the unpacked vertex walks
+    # subset sums its members' packed walk columns A^k e_u, then unpacks them
     bits = 12
     assert walks == [tuple(1 << bits * j for j in range(5)), (0,) * 5]
 
@@ -323,7 +355,8 @@ def test_full_reports_refuse_pairs_of_another_graph():
 
 def test_full_reports_pick_the_gcd_route_by_pair_count(monkeypatch):
     # a lone pair takes one poly_gcd(phi_S, phi) and is never factored; many
-    # pairs factor phi / gcd(phi, phi') once, and take a gcd only for
+    # pairs factor mu = phi / gcd(phi, phi') once, read each nonempty
+    # subset's pole count from its sums h_i(A) z, and take a gcd only for
     # gcd(phi, phi') and for the coprime verdict of each singleton
     gcds, factored = [], []
     count_calls(monkeypatch, control, "poly_gcd", gcds)
@@ -525,15 +558,12 @@ def test_subset_count_check_sees_a_slot_width_too_narrow(monkeypatch):
 
 
 def signed_slots(x, bits, v):
-    """The v signed slots of a packed integer, slot 0 first."""
-    out = []
-    for _ in range(v):
-        slot = x & (1 << bits) - 1
-        slot -= slot >> bits - 1 << bits
-        out.append(slot)
-        x = x - slot >> bits
-    assert x == 0
-    return out
+    """The v signed slots of a packed integer, slot 0 first: with half a
+    slot added to each, every slot is an unsigned field."""
+    half, shifts = 1 << bits - 1, range(0, bits * v, bits)
+    y = x + sum(half << t for t in shifts)
+    assert 0 <= y < 1 << bits * v
+    return [(y >> t & (1 << bits) - 1) - half for t in shifts]
 
 
 def width_cases():
@@ -544,11 +574,31 @@ def width_cases():
         yield empty(v)
 
 
+def assert_sums_fit(g, walks, powers, bits, hs):
+    # every subset's packed h(A) z, summed from the packed columns
+    # h(A) e_u by doubling (bitmask k holds u iff bit u of k is set), reads
+    # back as signed slots to h(A) z summed from list walks, and fits a slot
+    v = g.v
+    for h in hs:
+        lists, packed = [[0] * v], [0]
+        for u, col in enumerate(apply_poly(h, powers, v)):
+            listed = [sum(c * w[j] for c, w in zip(h, walks[u])) for j in range(v)]
+            lists += [[a + b for a, b in zip(x, listed)] for x in lists]
+            packed += [x + col for x in packed]
+        for x, entries in zip(packed, lists):
+            assert signed_slots(x, bits, v) == entries, g
+            assert max(map(abs, entries)) < 1 << bits - 1, g
+
+
 def test_packed_slots_hold_every_entry_the_engines_read():
     # every slot that `full_reports` reads and `controllable_subset_count`
     # reads or zero-tests holds less than 2^(bits-1) in absolute value and
     # unpacks, as a signed slot, to the entry walked on lists: the entries
-    # of A^k for k < count, each packed h_i(A) e_u and every subset sum
+    # of A^k for k < count, each packed h_i(A) e_u and every subset sum.
+    # A walk per subset of all 1,044 graphs on 7 vertices would take most of
+    # the time: there, every 4th graph walks every subset, the others S = V,
+    # whose walk counts are the largest (they grow with S)
+    sevens, walked = set(census_graphs(7)), set(census_graphs(7)[::4])
     for g in width_cases():
         v = g.v
         walks = [krylov_columns(g.rows, [int(i == u) for i in range(v)], 2 * v - 1) for u in range(v)]
@@ -560,20 +610,27 @@ def test_packed_slots_hold_every_entry_the_engines_read():
                     entries = signed_slots(x, bits, v)
                     assert entries == walks[u][k], (g, count)
                     assert max(entries, default=0) < 1 << bits - 1, (g, count)
+        if v == 0:
+            continue  # no vertex column to sum
+        phi = graph_char_poly(g)
+        # `full_reports`, repeated roots included: count v, the factors f_i of
+        # mu = phi / gcd(phi, phi') with h_i = mu / f_i, and each subset's
+        # summed walk columns A^k z, k < v, against `walk_columns`
+        powers, bits = packed_powers(g, v)
+        mu = exact_div(phi, poly_gcd(phi, derivative(phi)))
+        assert_sums_fit(g, walks, powers, bits, [exact_div(mu, f) for f in irreducible.factors(mu)])
+        sums = [[0] * v]
+        for u in range(v):
+            sums += [[a + r[u] for a, r in zip(x, powers)] for x in sums]
+        for k in range(len(sums)) if g not in sevens or g in walked else [len(sums) - 1]:
+            p = PairSpec.from_vector(g, [k >> u & 1 for u in range(v)])
+            assert [signed_slots(c, bits, v) for c in sums[k]] == walk_columns(p), (g, k)
+        # `controllable_subset_count`: count 2v - 1 and h_i = phi / f_i, for
+        # squarefree phi alone (with a repeated root it builds no sum)
         factors = phi_factors(g)
-        if factors is None or v == 0:
-            continue  # the engine builds no sum
-        powers, bits = packed_powers(g, 2 * v - 1)
-        for h in (exact_div(graph_char_poly(g), f) for f in factors):
-            lists, packed = [[0] * v], [0]
-            for u in range(v):
-                col = [sum(c * w[j] for c, w in zip(h, walks[u])) for j in range(v)]
-                lists += [[a + b for a, b in zip(x, col)] for x in lists]
-                col = sum(c * r[u] for c, r in zip(h, powers))
-                packed += [x + col for x in packed]
-            for x, entries in zip(packed, lists):
-                assert signed_slots(x, bits, v) == entries, g
-                assert max(map(abs, entries)) < 1 << bits - 1, g
+        if factors is not None:
+            powers, bits = packed_powers(g, 2 * v - 1)
+            assert_sums_fit(g, walks, powers, bits, [exact_div(phi, f) for f in factors])
 
 
 def test_slot_width_depends_on_the_graph_alone():

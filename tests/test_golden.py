@@ -127,6 +127,16 @@ ANALYZE = {
     "FCZ\\o": "1895a8c01e1aea21754c7e554d07624c9c3a4bff4ae9e0ca3c33f5cf74e993ff",
 }
 
+# analyze --subset vertices: the many-pair path with singletons alone
+ANALYZE_VERTICES = {
+    "DhC": "a02025b8bc137f7227577239b33736f7dd8d001d3c71e3c2dc297ba401fe1186",
+    "EQjo": "3847b0e2e16edf9142b71ccf50320f3fb17d0d8207b3dbd7c9f7ce04753c0fff",
+    "FCrUW": "695c49d021f15b75eda39557ab70a999f9206041a90209e9ce47e82d5ca8c751",
+    "FCZ\\o": "0ef30048e672a233b178bc287ef8acd60676e6597f286b5f7aade206175d9775",
+    # C8, whose phi has repeated roots
+    "GhCGKC": "89256045ad6a7de378727a31b0c41d63d58623556923a30bd859895a98251bdc",
+}
+
 ISOCHECK_ARGS = ["F?`e_", "1", "FB_`O", "6"]
 ISOCHECK = "c16579b4468bbaaad8f47db7e580601b4c8c2e86d659f400d93ffa2bce58c40d"
 
@@ -219,6 +229,12 @@ def test_census_subsets_bytes_at_two_workers(tmp_path):
 @pytest.mark.parametrize("graph6", sorted(ANALYZE))
 def test_analyze_all_bytes(tmp_path, graph6):
     assert command_digest(tmp_path, ["analyze", graph6, "--subset", "all"]) == ANALYZE[graph6]
+
+
+@pytest.mark.parametrize("graph6", sorted(ANALYZE_VERTICES))
+def test_analyze_vertices_bytes(tmp_path, graph6):
+    argv = ["analyze", graph6, "--subset", "vertices"]
+    assert command_digest(tmp_path, argv) == ANALYZE_VERTICES[graph6]
 
 
 def test_isocheck_bytes(tmp_path):
