@@ -16,6 +16,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from ctrlgraph.census import CensusConfig, pool_size, run_census, rows_to_csv
+from generate_graphs import MAX_N
 
 
 def main():
@@ -30,6 +31,12 @@ def main():
     for n in range(1, args.max_n + 1):
         f = data_dir / f"graphs{n}.g6"
         if not f.exists():
+            if n > MAX_N:
+                raise SystemExit(
+                    f"missing {f}; scripts/generate_graphs.py writes graphs1.g6"
+                    f" to graphs{MAX_N}.g6 only, so --max-n above {MAX_N} needs"
+                    f" that file from another source"
+                )
             raise SystemExit(f"missing {f}; run scripts/generate_graphs.py first")
         lines.extend(f.read_text().splitlines())
 

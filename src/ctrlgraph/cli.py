@@ -118,10 +118,9 @@ def cmd_analyze(args) -> int:
     except Graph6Error as exc:
         raise CliError(str(exc))
     subsets = _parse_subset_arg(args.subset, g.v)
-    pairs = [control.PairSpec.from_subset(g, s) for s in subsets]
     graph6 = args.graph6.strip()
     try:
-        reports = control.full_reports(g, pairs)
+        reports = control.full_reports(g, subsets)
     except InternalConsistencyError as exc:
         raise InternalConsistencyError(f"graph {graph6}: {exc}") from exc
     _write_output(args.out, _analyze_text(graph6, g.v, reports))

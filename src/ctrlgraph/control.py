@@ -16,19 +16,14 @@ Both subset engines read the powers of A and their one slot width from
 `packed_powers`, one `krylov_columns` call on the packed identity, in
 which each row of A^k is one integer, read in place where it is summed.
 
-`full_reports` builds the reports of many pairs of one graph in one pass:
-each subset's walk matrix summed from its members' walks W(e_u), read
-from the packed powers, and every report checked for
-rank W(z) = v - deg gcd(phi_S, phi).  That degree is deg d, for
-d = gcd(phi, phi'), plus deg f_i for each irreducible factor f_i of A's
-minimal polynomial mu = phi / d with d f_i dividing phi_S, found once per
-call (`irreducible.factors`).  With h_i = mu / f_i, d f_i divides phi_S
-iff h_i(A) z = 0, so a nonempty subset reads it from the sum of its
-members' packed h_i(A) e_u, as the subset count does, and any other pair
-from its walk columns.  phi_S is read from phi and the walk columns only
-for a singleton, checked against phi(X minus u).  `full_report` is its
-one-pair call, which is never factored: it takes one
-`poly_gcd(phi_S, phi)`.
+A report has two routes.  `full_report` decides one pair from one walk
+of z, with one `poly_gcd(phi_S, phi)`.  `full_reports` decides many
+subsets of one graph from one table, walking none: a subset sums its
+members' walks W(e_u) from the packed powers, and reads deg gcd(phi_S, phi)
+as deg d, for d = gcd(phi, phi'), plus deg f_i for each irreducible factor
+f_i of A's minimal polynomial mu = phi / d with h_i(A) z = 0, h_i = mu / f_i,
+summed from its members' packed h_i(A) e_u as the subset count does.  Both
+check every report for rank W(z) = v - deg gcd(phi_S, phi).
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from typing import Iterable, Sequence
 
 from . import irreducible
 from .errors import InternalConsistencyError
-from .graphs import Graph, check_subset, cone, covering_radius, distances_from
+from .graphs import INFINITE, Graph, check_subset, cone, covering_radius, distances_from
 from .matrices import (
     adjugate_samples,
     bilinear_numerator_fractions,
@@ -311,118 +306,114 @@ def algebra_basis_check(p: PairSpec) -> bool:
     return result
 
 
-def _pair_name(p: PairSpec) -> str:
-    if p.subset is not None:
-        return f"subset {list(p.subset)}"
-    return f"vector {list(p.vector)}"
+def _pair_name(subset, vector) -> str:
+    return f"vector {list(vector)}" if subset is None else f"subset {list(subset)}"
 
 
-def full_reports(g: Graph, pairs: Sequence[PairSpec]) -> list[ControllabilityReport]:
-    """The report of every pair, all on g, from one pass over g.
+def _checked_verdicts(v, subset, vector, rank, common, phi, phi_s, deleted) -> dict:
+    """The verdicts of one pair, checked as both report routes check them:
+    a singleton {u}'s phi_S against phi(X minus u), `deleted[u]`, a second
+    computation of one polynomial; the verdicts against each other; and
+    rank W(z), which counts the theta with E_theta z != 0, against
+    v - common, for common = deg gcd(phi_S, phi)."""
+    verdicts = {"rank": rank == v, "poles": common == 0}
+    if subset is not None and len(subset) == 1:
+        u = subset[0]
+        if phi_s != deleted[u]:
+            raise InternalConsistencyError(
+                f"phi_S read from the walk of {_pair_name(subset, vector)} differs"
+                f" from phi(X minus {u}) on the adjugate diagonal"
+            )
+        verdicts["coprime"] = len(poly_gcd(deleted[u], phi)) == 1
+    if len(set(verdicts.values())) > 1:
+        raise InternalConsistencyError(
+            f"characterizations disagree for {_pair_name(subset, vector)}: {verdicts}"
+        )
+    if rank != v - common:
+        raise InternalConsistencyError(
+            f"rank of W(z) is {rank} but gcd(phi_S, phi) has degree {common}"
+            f" for {_pair_name(subset, vector)}, leaving {v - common} poles"
+        )
+    return verdicts
 
-    Per pair: the rank of W(z) by Bareiss, and deg gcd(phi_S, phi).  As
-    z^T (tI-A)^{-1} z = phi_S / phi = sum_theta |E_theta z|^2/(t - theta),
-    for a root theta of phi of multiplicity m, (t - theta)^(m-1) divides
-    phi_S, and (t - theta)^m does iff E_theta z = 0; Galois conjugates go
-    together.  So with phi = prod f_i^{m_i} over the irreducible factors
-    f_i, d = gcd(phi, phi') = prod f_i^{m_i - 1} divides every phi_S, and
+
+def full_reports(g: Graph, subsets: Sequence[Iterable[int]]) -> list[ControllabilityReport]:
+    """The report of every subset of g, from one table of g's vertices;
+    fewer than two subsets go to `full_report`.
+
+    As z^T (tI-A)^{-1} z = phi_S / phi
+    = sum_theta |E_theta z|^2/(t - theta), for a root theta of phi of
+    multiplicity m, (t - theta)^(m-1) divides phi_S, and (t - theta)^m
+    does iff E_theta z = 0; Galois conjugates go together.  So with
+    phi = prod f_i^{m_i} over the irreducible factors f_i,
+    d = gcd(phi, phi') = prod f_i^{m_i - 1} divides every phi_S, and
     deg gcd(phi_S, phi) = deg d + sum deg f_i over the f_i with d f_i
-    dividing phi_S: no multiplicity is needed.  With more than one pair,
-    the f_i come from one `irreducible.factors(mu)` of A's minimal
-    polynomial mu = phi / d, which must be squarefree, and with
-    h_i = mu / f_i, d f_i divides phi_S iff h_i(A) z = 0: h_i(A) is
-    sum_theta h_i(theta) E_theta, and h_i(theta) != 0 exactly at the roots
-    of f_i.  This holds for any pairwise coprime f_i, irreducible or not.
-    A lone pair (the census's S = V report, a one-subset `analyze`) takes
-    one `poly_gcd(phi_S, phi)` instead, which costs less than factoring.
-    rank W(z) counts the theta with E_theta z != 0, so every report checks
-    rank W(z) = v - deg gcd(phi_S, phi), besides the agreement of the
-    verdicts; a reducible "factor" fails this check.
+    dividing phi_S: no multiplicity is needed.  The f_i come from one
+    `irreducible.factors(mu)` of mu = phi / d, which must be squarefree,
+    and with h_i = mu / f_i, d f_i divides phi_S iff h_i(A) z = 0: h_i(A)
+    is sum_theta h_i(theta) E_theta, and h_i(theta) != 0 exactly at the
+    roots of f_i.  This holds for any pairwise coprime f_i, irreducible or
+    not; a reducible "factor" fails the rank check.
 
-    W(z) and h_i(A) z are linear in z, so with more than one pair, every
-    nonempty subset sums its members' packed columns, read from the packed
-    rows u of the powers: the walk columns A^k e_u, unpacked once summed
-    (walk counts: a shift and a mask each), and the h_i(A) e_u, whose sum
-    is zero iff h_i(A) z is (`packed_powers`' width).  Its covering radius
-    comes from their BFS distance rows.  Every other pair, and a lone
-    pair, is walked directly, and reads h_i(A) z from its walk columns.
-    phi_S, from phi and the walk columns (`bilinear_numerator_fractions`),
-    is read only for a lone pair, and for a singleton {u}, which checks it
-    against phi(X minus u) from the adjugate diagonal, a second computation
-    of one polynomial.  Nothing is kept per subset: memory is O(v^3).
+    W(z) and h_i(A) z are linear in z, so every subset sums its members'
+    packed columns, the packed rows u of the powers: the walk columns
+    A^k e_u, unpacked once summed, and the h_i(A) e_u, whose sum is zero
+    iff h_i(A) z is (`packed_powers`' width), and takes its covering
+    radius from their BFS rows.  The empty subset sums none: zero columns,
+    a gcd of degree v and an infinite radius, with no walk.  phi_S is read
+    only for a singleton.  Nothing is kept per subset: memory is O(v^3).
     """
+    if len(subsets) < 2:
+        return [full_report(PairSpec.from_subset(g, s)) for s in subsets]
+    subsets = [check_subset(g, s) for s in subsets]
     v = g.v
-    if any(p.graph != g for p in pairs):
-        raise ValueError("every pair must be on the graph given")
     phi = graph_char_poly(g)
     deleted = vertex_deleted_char_polys(g)
-    table = len(pairs) > 1
-    if table:
-        d = poly_gcd(phi, derivative(phi))
-        mu = exact_div(phi, d)  # A's minimal polynomial
-        factors = irreducible.factors(mu)
-        if factors is None:
-            raise InternalConsistencyError(
-                f"phi / gcd(phi, phi') has a repeated root for phi = {phi}"
-            )
-        degrees = [len(f) - 1 for f in factors]
-        hpolys = [exact_div(mu, f) for f in factors]
-        # per vertex u: the packed A^k e_u for k < v, then the packed h_i(A) e_u
-        # of each factor, and the BFS distance row of u
-        powers, bits = packed_powers(g, v)
-        hs = [apply_poly(h, powers, v) for h in hpolys]
-        columns = list(zip(*powers, *hs))
-        mask, shifts = (1 << bits) - 1, range(0, bits * v, bits)
-        dists = [distances_from(g, (u,)) for u in range(v)]
-    reports = []
-    for p in pairs:
-        s = p.subset
-        summed = table and bool(s)
-        if summed:  # walk counts are nonnegative: each entry is a shift and a mask
-            sums = list(map(sum, zip(*(columns[u] for u in s))))
-            cols = [[x >> t & mask for t in shifts] for x in sums[:v]]
-            hz = sums[v:]
-            radius = max(map(min, zip(*(dists[u] for u in s))))
-        else:
-            cols = walk_columns(p)
-            if table:
-                hz = [any(apply_poly(h, cols, v)) for h in hpolys]
-            radius = None if s is None else covering_radius(g, s)
-        rank = int_rank(cols)
-        singleton = s is not None and len(s) == 1
-        if singleton or not table:
-            phi_s = trim(bilinear_numerator_fractions(phi, p.vector, cols))
-        if table:  # d f_i divides phi_S iff h_i(A) z = 0
-            common = len(d) - 1 + sum(k for k, x in zip(degrees, hz) if not x)
-        else:
-            common = len(poly_gcd(phi_s, phi)) - 1
-        verdicts = {"rank": rank == v, "poles": common == 0}
-        if singleton:
-            if phi_s != deleted[s[0]]:
-                raise InternalConsistencyError(
-                    f"phi_S read from the walk of {_pair_name(p)} differs from"
-                    f" phi(X minus {s[0]}) on the adjugate diagonal"
-                )
-            verdicts["coprime"] = len(poly_gcd(deleted[s[0]], phi)) == 1
-        if len(set(verdicts.values())) > 1:
-            raise InternalConsistencyError(
-                f"characterizations disagree for {_pair_name(p)}: {verdicts}"
-            )
-        if rank != v - common:
-            raise InternalConsistencyError(
-                f"rank of W(z) is {rank} but gcd(phi_S, phi) has degree {common}"
-                f" for {_pair_name(p)}, leaving {v - common} poles"
-            )
-        reports.append(
-            ControllabilityReport(v, s, rank, radius, verdicts, degenerate=not any(p.vector))
+    d = poly_gcd(phi, derivative(phi))
+    mu = exact_div(phi, d)  # A's minimal polynomial
+    factors = irreducible.factors(mu)
+    if factors is None:
+        raise InternalConsistencyError(
+            f"phi / gcd(phi, phi') has a repeated root for phi = {phi}"
         )
+    # per vertex u: the packed A^k e_u for k < v, then the packed h_i(A) e_u
+    # of each factor, and the BFS distance row of u
+    powers, bits = packed_powers(g, v)
+    hs = [apply_poly(exact_div(mu, f), powers, v) for f in factors]
+    columns = list(zip(*powers, *hs))
+    zero = [0] * (v + len(hs))  # the sums of the empty subset
+    mask, shifts = (1 << bits) - 1, range(0, bits * v, bits)
+    dists = [distances_from(g, (u,)) for u in range(v)]
+    reports = []
+    for s in subsets:  # walk counts are nonnegative: each entry is a shift and a mask
+        sums = list(map(sum, zip(*(columns[u] for u in s)))) or zero
+        cols = [[x >> t & mask for t in shifts] for x in sums[:v]]
+        radius = max(map(min, zip(*(dists[u] for u in s))), default=INFINITE)
+        rank = int_rank(cols)
+        phi_s = None
+        if len(s) == 1:
+            phi_s = trim(bilinear_numerator_fractions(phi, [int(j in s) for j in range(v)], cols))
+        # d f_i divides phi_S iff h_i(A) z = 0
+        common = len(d) - 1 + sum(len(f) - 1 for f, x in zip(factors, sums[v:]) if not x)
+        verdicts = _checked_verdicts(v, s, None, rank, common, phi, phi_s, deleted)
+        reports.append(ControllabilityReport(v, s, rank, radius, verdicts, degenerate=not s))
     return reports
 
 
 def full_report(p: PairSpec) -> ControllabilityReport:
-    """All characterizations of one pair, with their agreement enforced:
-    `full_reports` on that pair alone, one Krylov pass and one gcd."""
-    return full_reports(p.graph, [p])[0]
+    """All characterizations of one pair, subset or integer vector, with
+    their agreement enforced: one Krylov walk of z, its Bareiss rank, phi_S
+    from phi and the walk, and one `poly_gcd(phi_S, phi)`, not factoring."""
+    g, v, s = p.graph, p.graph.v, p.subset
+    phi = graph_char_poly(g)
+    deleted = vertex_deleted_char_polys(g)
+    cols = walk_columns(p)
+    rank = int_rank(cols)
+    phi_s = trim(bilinear_numerator_fractions(phi, p.vector, cols))
+    common = len(poly_gcd(phi_s, phi)) - 1
+    verdicts = _checked_verdicts(v, s, p.vector, rank, common, phi, phi_s, deleted)
+    radius = None if s is None else covering_radius(g, s)
+    return ControllabilityReport(v, s, rank, radius, verdicts, degenerate=not any(p.vector))
 
 
 def cone_charpoly_identity(g: Graph, members: Iterable[int]) -> tuple[tuple, tuple]:

@@ -84,6 +84,19 @@ def test_census_script_reports_the_processes_that_run():
     assert out.startswith("7 graphs, 1 worker, ")  # 7 lines make one chunk
 
 
+def test_census_script_names_the_generator_range_past_it():
+    # graphs9.g6 is missing, and the generator writes n <= 8 only: the script
+    # says so before any census runs
+    argv = [sys.executable, str(ROOT / "scripts" / "run_census.py"), "--max-n", "9"]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == (
+        f"missing {ROOT / 'data' / 'graphs9.g6'}; scripts/generate_graphs.py writes"
+        " graphs1.g6 to graphs8.g6 only, so --max-n above 8 needs that file from"
+        " another source\n"
+    )
+
+
 def test_malformed_line_recorded():
     rows, summary = run_census(["A_", "!!notgraph6!!", "@"], CensusConfig())
     assert summary.errors == 1

@@ -14,7 +14,7 @@ from ctrlgraph.control import graph_char_poly
 from ctrlgraph.errors import InternalConsistencyError
 from ctrlgraph.graphs import complete, emit_graph6, parse_graph6, path
 
-from conftest import DATA_DIR, census_lines
+from conftest import DATA_DIR, census_lines, count_calls
 from test_golden import LTI_SPEC
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
@@ -101,6 +101,14 @@ def test_analyze_bad_inputs(tmp_path, capsys):
     code, text = run(["analyze", P3, "--subset", "x"], tmp_path)
     assert code == cli.EXIT_INPUT and text == ""
     assert "bad subset selector 'x'" in capsys.readouterr().err
+
+
+def test_analyze_all_hands_the_subsets_over_as_they_are(tmp_path, monkeypatch):
+    # the 2^v subsets go to the table as tuples: not one PairSpec is built
+    calls = []
+    count_calls(monkeypatch, cli.control.PairSpec, "from_subset", calls)
+    code, _ = run(["analyze", "GhCGKC", "--subset", "all"], tmp_path)
+    assert code == cli.EXIT_OK and calls == []
 
 
 def test_analyze_consistency_failure_names_graph_and_subset(tmp_path, monkeypatch, capsys):

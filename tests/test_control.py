@@ -212,10 +212,11 @@ def with_verdicts(reports):
 
 def check_against_reference(g):
     # every subset: summed from the vertex walks, and one pair at a time
-    pairs = [PairSpec.from_subset(g, s) for s in all_subsets(g.v)]
+    subsets = list(all_subsets(g.v))
+    pairs = [PairSpec.from_subset(g, s) for s in subsets]
     adjugate = list_adjugate(g.rows)
     want = with_verdicts(reference_report(p, adjugate) for p in pairs)
-    assert with_verdicts(full_reports(g, pairs)) == want, g
+    assert with_verdicts(full_reports(g, subsets)) == want, g
     assert with_verdicts(full_report(p) for p in pairs) == want, g
 
 
@@ -240,9 +241,8 @@ def test_full_reports_check_the_multiplicity_sum(monkeypatch):
     # as degree 1 against a rank of 1
     monkeypatch.setattr(irreducible, "_zassenhaus", lambda f: [f])
     g = complete(3)
-    pairs = [PairSpec.from_subset(g, s) for s in all_subsets(3)]
     with pytest.raises(InternalConsistencyError, match=r"rank of W\(z\) is 1.*subset \[0, 1, 2\]"):
-        full_reports(g, pairs)
+        full_reports(g, list(all_subsets(3)))
 
 
 def test_full_reports_check_a_misfactored_squarefree_phi(monkeypatch):
@@ -252,53 +252,52 @@ def test_full_reports_check_a_misfactored_squarefree_phi(monkeypatch):
     # {0, 3} is fixed by the reflection of P4, so rank W(z) is below v
     monkeypatch.setattr(irreducible, "_zassenhaus", lambda f: [f])
     g = path(4)
-    pairs = [PairSpec.from_subset(g, s) for s in all_subsets(4)]
     with pytest.raises(InternalConsistencyError, match=r"characterizations disagree for subset \[0, 3\]"):
-        full_reports(g, pairs)
+        full_reports(g, list(all_subsets(4)))
 
 
 def test_full_reports_read_phi_s_for_singletons_alone(monkeypatch):
-    # with many pairs, every pair reads its pole count from h_i(A) z, summed
-    # for a nonempty subset and walked for the empty subset and an integer
-    # vector; phi_S is read only for a singleton, to check it against
-    # phi(X minus u)
+    # the table reads every subset's pole count from its sums h_i(A) z, the
+    # empty subset's included, and phi_S only for a singleton, to check it
+    # against phi(X minus u); an integer vector goes through `full_report`,
+    # which reads its phi_S once and matches the reference
     read = []
     count_calls(monkeypatch, control, "bilinear_numerator_fractions", read)
     rng = random.Random(24)
     for g in (path(6), cycle(6), complete(4), parse_graph6("GhCGKC")):
-        pairs = [PairSpec.from_subset(g, s) for s in all_subsets(g.v)]
-        pairs += [PairSpec.from_vector(g, [rng.randint(-3, 3) for _ in range(g.v)]) for _ in range(3)]
-        rng.shuffle(pairs)
+        subsets = list(all_subsets(g.v))
+        rng.shuffle(subsets)
         read.clear()
-        full_reports(g, pairs)
-        want = [p.vector for p in pairs if p.subset is not None and len(p.subset) == 1]
-        assert [args[1] for args in read] == want, g
+        full_reports(g, subsets)
+        want = [tuple(int(u in s) for u in range(g.v)) for s in subsets if len(s) == 1]
+        assert [tuple(args[1]) for args in read] == want, g
+        adjugate = list_adjugate(g.rows)
+        for _ in range(3):
+            p = PairSpec.from_vector(g, [rng.randint(-3, 3) for _ in range(g.v)])
+            read.clear()
+            rep = full_report(p)
+            assert [args[1] for args in read] == [p.vector], g
+            assert with_verdicts([rep]) == with_verdicts([reference_report(p, adjugate)]), g
 
 
 def test_full_reports_check_the_minimal_polynomial_is_squarefree(monkeypatch):
     # with gcd(phi, phi') read as 1, phi / d is phi itself, whose repeated
     # root the squarefree test in `factors` finds
     monkeypatch.setattr(control, "poly_gcd", lambda f, g: (1,))
-    g = complete(3)
-    pairs = [PairSpec.from_subset(g, s) for s in all_subsets(3)]
     failure = r"phi / gcd\(phi, phi'\) has a repeated root"
     with pytest.raises(InternalConsistencyError, match=failure):
-        full_reports(g, pairs)
+        full_reports(complete(3), list(all_subsets(3)))
 
 
 def test_full_reports_on_integer_vectors():
+    # an integer vector has no subset for the table to sum: it goes through
+    # `full_report`, one walk and one gcd
     rng = random.Random(14)
     for g in [K1, *census_graphs(5), *census_graphs(6)[::5]]:
-        pairs = [PairSpec.from_subset(g, s) for s in all_subsets(g.v)]
-        for _ in range(4):
-            pairs.append(PairSpec.from_vector(g, [rng.randint(-3, 3) for _ in range(g.v)]))
-        rng.shuffle(pairs)  # vectors and subsets mixed, singletons anywhere
+        pairs = [PairSpec.from_vector(g, [rng.randint(-3, 3) for _ in range(g.v)]) for _ in range(4)]
         adjugate = list_adjugate(g.rows)
         want = with_verdicts(reference_report(p, adjugate) for p in pairs)
-        assert with_verdicts(full_reports(g, pairs)) == want, g
-        # and one pair at a time
-        alone = [full_report(p) for p in pairs]
-        assert with_verdicts(alone) == want, g
+        assert with_verdicts(full_report(p) for p in pairs) == want, g
 
 
 def test_full_reports_walk_once_per_singleton(monkeypatch):
@@ -314,13 +313,14 @@ def test_full_reports_walk_once_per_singleton(monkeypatch):
     full_report(PairSpec.from_subset(g, range(5)))
     assert walks == [(1,) * 5]  # one Krylov pass and no per-vertex walk
     walks.clear()
-    full_reports(g, [PairSpec.from_subset(g, s) for s in all_subsets(5)])
+    full_reports(g, list(all_subsets(5)))
     # one packed Krylov pass before the loop, on the packed identity with
     # slots a sign bit wider than v (2r)^(v-1) = 5 * 4^4 for the largest
-    # degree r = 2, then the empty subset walked directly; every larger
-    # subset sums its members' packed walk columns A^k e_u, then unpacks them
+    # degree r = 2; every subset sums its members' packed walk columns
+    # A^k e_u, then unpacks them, and the empty subset, which sums none, is
+    # never walked
     bits = 12
-    assert walks == [tuple(1 << bits * j for j in range(5)), (0,) * 5]
+    assert walks == [tuple(1 << bits * j for j in range(5))]
 
 
 def test_full_reports_check_rank_against_pole_count(monkeypatch):
@@ -341,24 +341,23 @@ def test_full_reports_check_singleton_numerator_against_deleted_poly(monkeypatch
     real = vertex_deleted_char_polys(g)
     wrong = (real[0], sub(real[1], (1,)), real[2])
     monkeypatch.setattr(control, "vertex_deleted_char_polys", lambda h: wrong)
-    pairs = [PairSpec.from_subset(g, s) for s in all_subsets(3)]
     with pytest.raises(
         InternalConsistencyError,
         match=r"walk of subset \[1\] differs from phi\(X minus 1\)",
     ):
-        full_reports(g, pairs)
+        full_reports(g, list(all_subsets(3)))
 
 
-def test_full_reports_refuse_pairs_of_another_graph():
-    with pytest.raises(ValueError, match="graph given"):
-        full_reports(path(3), [PairSpec.from_subset(cycle(3), [0])])
+def test_full_reports_refuse_a_subset_out_of_range():
+    with pytest.raises(ValueError, match=r"subset \[3\] out of range for v=3"):
+        full_reports(path(3), [(0,), (3,)])
 
 
 def test_full_reports_pick_the_gcd_route_by_pair_count(monkeypatch):
-    # a lone pair takes one poly_gcd(phi_S, phi) and is never factored; many
-    # pairs factor mu = phi / gcd(phi, phi') once, read each nonempty
-    # subset's pole count from its sums h_i(A) z, and take a gcd only for
-    # gcd(phi, phi') and for the coprime verdict of each singleton
+    # a lone pair takes one poly_gcd(phi_S, phi) and is never factored; the
+    # table factors mu = phi / gcd(phi, phi') once, reads each subset's pole
+    # count from its sums h_i(A) z, and takes a gcd only for gcd(phi, phi')
+    # and for the coprime verdict of each singleton
     gcds, factored = [], []
     count_calls(monkeypatch, control, "poly_gcd", gcds)
     count_calls(monkeypatch, irreducible, "factors", factored)
@@ -369,7 +368,7 @@ def test_full_reports_pick_the_gcd_route_by_pair_count(monkeypatch):
         full_report(whole)
         assert gcds == [(numerator_coeffs(whole), phi)] and factored == [], g
         gcds.clear()
-        full_reports(g, [PairSpec.from_subset(g, s) for s in all_subsets(8)])
+        full_reports(g, list(all_subsets(8)))
         d = poly_gcd(phi, derivative(phi))
         assert factored == [(exact_div(phi, d),)], g
         singletons = [(deleted, phi) for deleted in vertex_deleted_char_polys(g)]
@@ -468,9 +467,9 @@ def test_subset_count_beyond_data_matches_per_subset_loop():
 def test_full_reports_beyond_data_match_one_pair_calls():
     # the vertex-walk table against one direct walk per pair
     for g in graphs_beyond_data():
-        pairs = [PairSpec.from_subset(g, s) for s in all_subsets(g.v)]
-        alone = [full_report(p) for p in pairs]
-        assert with_verdicts(full_reports(g, pairs)) == with_verdicts(alone), g
+        subsets = list(all_subsets(g.v))
+        alone = [full_report(PairSpec.from_subset(g, s)) for s in subsets]
+        assert with_verdicts(full_reports(g, subsets)) == with_verdicts(alone), g
 
 
 def test_subset_count_full_verdict_matches_rank():
@@ -535,9 +534,8 @@ def test_full_reports_read_the_packed_powers_of_complete_and_empty_graphs():
     for v in range(13):
         for g in (complete(v), empty(v)):
             subsets = [*([u] for u in range(v)), range(v)]
-            pairs = [PairSpec.from_subset(g, s) for s in subsets]
-            alone = [full_report(p) for p in pairs]
-            assert with_verdicts(full_reports(g, pairs)) == with_verdicts(alone), g
+            alone = [full_report(PairSpec.from_subset(g, s)) for s in subsets]
+            assert with_verdicts(full_reports(g, subsets)) == with_verdicts(alone), g
         # the Gram route: only K_0, K_1 and K_2 have simple eigenvalues
         assert subset_count(complete(v)) == {0: 1, 1: 1, 2: 2}.get(v, 0), v
         assert subset_count(empty(v)) == {0: 1, 1: 1}.get(v, 0), v

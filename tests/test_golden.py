@@ -127,7 +127,7 @@ ANALYZE = {
     "FCZ\\o": "1895a8c01e1aea21754c7e554d07624c9c3a4bff4ae9e0ca3c33f5cf74e993ff",
 }
 
-# analyze --subset vertices: the many-pair path with singletons alone
+# analyze --subset vertices: the table route with singletons alone
 ANALYZE_VERTICES = {
     "DhC": "a02025b8bc137f7227577239b33736f7dd8d001d3c71e3c2dc297ba401fe1186",
     "EQjo": "3847b0e2e16edf9142b71ccf50320f3fb17d0d8207b3dbd7c9f7ce04753c0fff",
@@ -135,6 +135,22 @@ ANALYZE_VERTICES = {
     "FCZ\\o": "0ef30048e672a233b178bc287ef8acd60676e6597f286b5f7aade206175d9775",
     # C8, whose phi has repeated roots
     "GhCGKC": "89256045ad6a7de378727a31b0c41d63d58623556923a30bd859895a98251bdc",
+}
+
+# analyze --subset S with one subset: the one-pair route, one walk and one gcd
+ANALYZE_ONE = {
+    ("DhC", "0"): "f1cc6c226fcc0b1e2e604162d90d8da092a39fddc05def22932cf9e151912595",
+    ("DhC", "full"): "4998e9f66e88bbf95659693c232982ec8b7112ce15d7a9a3318d1643789321e8",
+    ("DhC", "1,3"): "1b88a64f0cfa854f62b2dc971cd97378da09650caf0ca335d56ae7766ba51841",
+    ("DhC", ""): "aff4474cbee26ff8824531a1af441f37f7ca1be6896546028174c4320ea655fe",
+    ("GhCGKC", "0"): "f6e26140a58160e18f1a1ed62ed1271c29bec087a3598cc0bad240bb729b3fd1",
+    ("GhCGKC", "full"): "d3bd0a636710c83face36ee405736e6079f8f2a3287046d2faab34477b8ca4f9",
+    ("GhCGKC", "1,3"): "f4a8097357b2628645b4136137afa19248fe7d939e3c3c9764d06205be1dbcd7",
+    ("GhCGKC", ""): "d62fd3d5c8f105bfca885ea50c252302443177c885ac3505c192997168d2c77a",
+    ("FCZ\\o", "0"): "e5645fbbdaad3881c71de3e1bb0ebd0fa295ba8764eb9051c39a96603c253cc1",
+    ("FCZ\\o", "full"): "2ce25988fa6af058a86314259d6f57d1d3de7df2c204d023300277740139d445",
+    ("FCZ\\o", "1,3"): "cb6eb06b0f3fbde2892f6a565b06a7d02e98f0e20b716bbb0f1a87fec503fd71",
+    ("FCZ\\o", ""): "499be737485c2a6bb5debced8bd002dc23ac42ecf88694e8c94d82b14a96ad37",
 }
 
 ISOCHECK_ARGS = ["F?`e_", "1", "FB_`O", "6"]
@@ -235,6 +251,12 @@ def test_analyze_all_bytes(tmp_path, graph6):
 def test_analyze_vertices_bytes(tmp_path, graph6):
     argv = ["analyze", graph6, "--subset", "vertices"]
     assert command_digest(tmp_path, argv) == ANALYZE_VERTICES[graph6]
+
+
+@pytest.mark.parametrize("graph6,subset", sorted(ANALYZE_ONE))
+def test_analyze_one_subset_bytes(tmp_path, graph6, subset):
+    argv = ["analyze", graph6, "--subset", subset]
+    assert command_digest(tmp_path, argv) == ANALYZE_ONE[graph6, subset]
 
 
 def test_isocheck_bytes(tmp_path):
