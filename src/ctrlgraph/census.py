@@ -30,7 +30,6 @@ CSV_FORMAT_VERSION = 1
 class CensusConfig:
     modes: tuple[str, ...] = ("full", "vertices")  # any of full/vertices/subsets
     workers: int = 1
-    max_n: int | None = None
 
 
 @dataclass
@@ -65,7 +64,8 @@ def all_subsets(v: int):
 
 
 def analyze_line(task) -> CensusRow:
-    line_no, text, modes, max_n = task
+    # perfbench/make_reference.py still sends a fourth element (None): ignored
+    line_no, text, modes = task[:3]
     text = text.strip()
     row = CensusRow(line=line_no, graph6=text)
     try:
@@ -74,9 +74,6 @@ def analyze_line(task) -> CensusRow:
         row.error = str(exc)
         return row
     row.n = g.v
-    if max_n is not None and g.v > max_n:
-        row.error = f"graph on {g.v} vertices exceeds --max-n {max_n}"
-        return row
     if "subsets" in modes and g.v > SUBSET_GUARD:
         row.error = f"subset enumeration guarded at v <= {SUBSET_GUARD}"
         return row
@@ -125,11 +122,8 @@ def pool_size(workers: int, tasks: int) -> int:
 
 def run_census(lines, config: CensusConfig):
     """Analyze every line; returns (rows, summary) in input order."""
-    tasks = [
-        (i + 1, line, tuple(config.modes), config.max_n)
-        for i, line in enumerate(lines)
-        if line.strip()
-    ]
+    modes = tuple(config.modes)
+    tasks = [(i + 1, line, modes) for i, line in enumerate(lines) if line.strip()]
     workers = pool_size(config.workers, len(tasks))
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:

@@ -195,12 +195,6 @@ def test_default_line_factors_phi_once(monkeypatch):
         assert factored == [(graph_char_poly(g),)], g
 
 
-def test_max_n_guard():
-    rows, summary = run_census(list(census_lines(5))[:3], CensusConfig(max_n=4))
-    assert all(r.error for r in rows)
-    assert summary.errors == 3
-
-
 def test_subsets_guard_comes_before_factoring(monkeypatch):
     # a graph past the guard gets its error row without phi being factored
     def refuse(phi):

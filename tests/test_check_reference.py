@@ -1,12 +1,14 @@
 """scripts/check_reference.py: a census CSV or an analyze stream read from a
 file or from stdin (`-`) gives the same rows."""
 
+import collections
 import importlib.util
 import io
 import pathlib
 import sys
 
 from ctrlgraph import cli
+from ctrlgraph.graphs import parse_graph6
 
 from conftest import census_lines
 
@@ -50,3 +52,16 @@ def test_census_csv_from_stdin(tmp_path, monkeypatch):
     rows = check_reference.read_rows(path)
     assert list(rows) == ["1", "2", "3"]
     assert rows_from_stdin(monkeypatch, path.read_bytes().decode()) == rows
+
+
+def test_reference_is_symmetric_under_complement():
+    # complementation maps the 8-vertex graphs at e edges one to one onto
+    # those at 28 - e and keeps rank W(1), hence controllability
+    graphs, controllable = collections.Counter(), collections.Counter()
+    for row in check_reference.read_rows(check_reference.REFERENCE).values():
+        e = len(parse_graph6(row["graph6"]).edges)
+        graphs[e] += 1
+        controllable[e] += row["controllable_full"] == "1"
+    assert sum(graphs.values()) == 12346 and sum(controllable.values()) == 2332
+    for e in range(29):
+        assert (graphs[e], controllable[e]) == (graphs[28 - e], controllable[28 - e]), e

@@ -167,7 +167,7 @@ def fresh_stdout(argv) -> str:
 
 
 def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
-    # main builds its parser on the first call and reuses it: analyze,
+    # main parses with the one parser built at import: analyze,
     # census and analyze again, each to stdout and then with --out, write
     # the bytes of a fresh call
     calls = [
@@ -224,24 +224,33 @@ def test_census_lenient_exit(tmp_path):
     g6file.write_text("A_\nbogus line\n")
     code, _ = run(["census", "--input", str(g6file)], tmp_path)
     assert code == cli.EXIT_INPUT
-    code, text = run(["census", "--input", str(g6file), "--lenient"], tmp_path)
-    assert code == cli.EXIT_OK
-    assert json.loads(text)["summary"]["error_lines"] == 1
+
+
+def test_census_refuses_the_removed_options(tmp_path, capsys):
+    # --lenient and --max-n are gone: argparse refuses them before any line is read
+    g6file = tmp_path / "in.g6"
+    g6file.write_text("A_\n")
+    for extra in (["--lenient"], ["--max-n", "8"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["census", "--input", str(g6file), *extra])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err, extra
 
 
 def test_census_error_rows_keep_the_stripped_line(tmp_path):
     g6file = tmp_path / "in.g6"
     g6file.write_text("A_\nB!\nBw\n")
-    argv = ["census", "--input", str(g6file), "--format", "csv", "--lenient",
+    argv = ["census", "--input", str(g6file), "--format", "csv",
             "--summary-out", str(tmp_path / "sum.json")]
     code, text = run(argv, tmp_path, "out.csv")
-    assert code == cli.EXIT_OK
+    assert code == cli.EXIT_INPUT  # an error row exits 2 once every row is written
     lines = text.split("\n")
     assert len(lines) == 5 and lines[-1] == ""  # header + 3 rows, newline-ended
     header, bad = lines[0].split(","), lines[2].split(",")
     assert bad[header.index("graph6")] == "B!" and bad[header.index("error")]
-    code, text = run(argv[:4] + ["json", "--lenient"], tmp_path)
-    assert code == cli.EXIT_OK
+    assert json.loads((tmp_path / "sum.json").read_text())["error_lines"] == 1
+    code, text = run(argv[:4] + ["json"], tmp_path)
+    assert code == cli.EXIT_INPUT
     assert [r["graph6"] for r in json.loads(text)["rows"]] == ["A_", "B!", "Bw"]
 
 
@@ -305,14 +314,6 @@ def test_census_refuses_fewer_than_one_worker(tmp_path, capsys):
         code, text = run(argv, tmp_path)
         assert code == cli.EXIT_INPUT and text == ""
         assert "--workers" in capsys.readouterr().err
-
-
-def test_census_refuses_negative_max_n(tmp_path, capsys):
-    g6file = tmp_path / "in.g6"
-    g6file.write_text("A_\n")
-    code, text = run(["census", "--input", str(g6file), "--max-n", "-1"], tmp_path)
-    assert code == cli.EXIT_INPUT and text == ""
-    assert "--max-n" in capsys.readouterr().err
 
 
 def test_census_consistency_failure_names_line(tmp_path, monkeypatch, capsys):

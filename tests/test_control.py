@@ -29,6 +29,7 @@ from ctrlgraph.control import (
 from ctrlgraph.errors import InternalConsistencyError
 from ctrlgraph.graphs import (
     Graph,
+    complement,
     complete,
     cycle,
     empty,
@@ -653,3 +654,12 @@ def test_repeated_eigenvalue_means_no_controllable_subset():
         assert subset_count(empty(n)) == 0
     for n in range(1, 9):
         assert subset_count(path(n)) > 0
+
+
+def test_complement_keeps_the_walk_rank_of_the_all_ones_vector():
+    # A(X-bar) = J - I - A maps 1 into span{1, A1} (J1 = v1), so X and its
+    # complement have the same Krylov space of 1: rank W_X(1) = rank W_X-bar(1)
+    for g in all_graphs_upto(8):
+        ones = [1] * g.v
+        ranks = [int_rank(krylov_columns(h.rows, ones, h.v)) for h in (g, complement(g))]
+        assert ranks[0] == ranks[1], g

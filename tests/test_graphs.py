@@ -276,3 +276,14 @@ def test_rows_agree_with_edge_set_oracles(case, data):
     extended, far_end = path_extension(g, members, k)
     assert far_end == 0
     assert extended == Graph.from_edges(v + k, naive_path_extension(edges, members, k))
+
+
+def test_graph6_parse_matches_networkx():
+    # an outside reader of graph6 gives the same vertex count and edge set
+    # on every line of data/graphs1..8.g6
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 9):
+        for line in census_lines(n):
+            g, h = parse_graph6(line), nx.from_graph6_bytes(line.encode())
+            assert g.v == h.number_of_nodes(), line
+            assert g.edges == {tuple(sorted(e)) for e in h.edges()}, line
